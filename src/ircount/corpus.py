@@ -213,8 +213,8 @@ def _parse_record(raw: dict, pixel: bool, max_count: int) -> ImageRecord:
     if not isinstance(rec_id, str) or not rec_id:
         raise ValueError(f"missing or invalid id: {raw.get('id')!r}")
     width, height = raw.get("width"), raw.get("height")
-    if not isinstance(width, int) or not isinstance(height, int):
-        raise ValueError("width and height must be integers")
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (width, height)):
+        raise ValueError(f"width and height must be integers, got {width!r} x {height!r}")
     boxes = points = count = None
     if "boxes" in raw:
         boxes = tuple(_parse_box(b, width, height, pixel) for b in raw["boxes"])

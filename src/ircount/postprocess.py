@@ -7,13 +7,14 @@ maximize count accuracy against ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ircount.corpus import BoundingBox, Dataset, aligned_records, annotation_to_count
-from ircount.metrics import CountPair, count_metrics
+from ircount.metrics import CountPair
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,9 @@ class ThresholdCurve:
         return cls(tuple(thresholds), tuple(accuracies), best_thr, best_acc)
 
 
+_NMS_BLOCK = 512  # rows of the pairwise overlap matrix built at once
+
+
 def _corners(b: BoundingBox) -> tuple[float, float, float, float]:
     return (b.cx - b.w / 2, b.cy - b.h / 2, b.cx + b.w / 2, b.cy + b.h / 2)
 
@@ -87,23 +91,57 @@ def nms(boxes: Sequence[BoundingBox], iou_thresh: float) -> list[BoundingBox]:
     Boxes are visited by descending score (ties by original index); a box
     is kept unless it overlaps an already-kept box with IoU strictly above
     the threshold. The kept boxes come back in their original input order.
+
+    Overlaps are computed on arrays with the same corner and union
+    arithmetic as :func:`iou`, so every IoU is bit-identical to it. At
+    most ``_NMS_BLOCK`` rows of the pairwise matrix exist at a time.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"IoU threshold must be in [0, 1], got {iou_thresh}")
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
-    kept: list[int] = []
-    for i in order:
-        if all(iou(boxes[i], boxes[k]) <= iou_thresh for k in kept):
-            kept.append(i)
-    return [boxes[i] for i in sorted(kept)]
+    arr = np.array([(b.cx, b.cy, b.w, b.h, b.score) for b in boxes], dtype=np.float64).reshape(-1, 5)
+    order = np.argsort(-arr[:, 4], kind="stable")
+    # cx, cy, w, h as contiguous rows, boxes in visiting order: a block of
+    # boxes is then a slice, and corners and areas use iou()'s arithmetic.
+    cols = np.ascontiguousarray(arr[order, :4].T)
+    half = cols[2:] / 2
+    lo, hi = cols[:2] - half, cols[:2] + half
+    side = hi - lo
+    area = side[0] * side[1]
+    removed = np.zeros(len(arr), dtype=bool)
+    for start in range(0, len(arr), _NMS_BLOCK):
+        rows = slice(start, start + _NMS_BLOCK)
+        # Clamping a non-positive extent to 0 gives inter 0 and so IoU 0,
+        # which is never above a threshold in [0, 1], just as iou() says.
+        ext = np.minimum(hi[:, rows, None], hi[:, None, :])
+        ext -= np.maximum(lo[:, rows, None], lo[:, None, :])
+        np.maximum(ext, 0.0, out=ext)
+        inter = ext[0] * ext[1]
+        union = area[rows, None] + area
+        union -= inter
+        with np.errstate(divide="ignore", invalid="ignore"):
+            over = np.divide(inter, union, out=union) > iou_thresh
+        np.fill_diagonal(over[:, start:], False)
+        # A box that overlaps no other is kept and removes nothing, so only
+        # rows with an overlap take part in the greedy pass.
+        for r in np.flatnonzero(over.any(axis=1)).tolist():
+            if not removed[start + r]:
+                removed |= over[r]
+    return [boxes[i] for i in np.sort(order[~removed]).tolist()]
 
 
 def default_grid(step: float = 0.001) -> list[float]:
-    """Ascending threshold grid over [0, 1] with the given step."""
+    """Ascending threshold grid over [0, 1] with the given step.
+
+    The step must divide 1. With ``count = 1 / step`` steps, the values
+    are ``i / count``, so each is the closest float to its decimal and
+    the last is exactly 1.0.
+    """
     if not 0.0 < step <= 1.0:
         raise ValueError(f"grid step must be in (0, 1], got {step}")
-    count = int(round(1.0 / step))
-    return [min(i * step, 1.0) for i in range(count + 1)]
+    count = round(1.0 / step)
+    if not math.isclose(count * step, 1.0, rel_tol=1e-9, abs_tol=0.0):
+        raise ValueError(f"grid step must divide 1, got {step}")
+    return [i / count for i in range(count + 1)]
 
 
 def tune_threshold(
@@ -126,17 +164,28 @@ def tune_threshold(
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise ValueError("grid thresholds must lie in [0, 1]")
 
+    # A record scores at threshold t exactly when lo < t <= hi: hi is its
+    # target-th highest kept score and lo the next one down (+inf and -inf
+    # when there is no such score). Each hit is a run of grid indices.
     pairs = aligned_records(gt, pred)
-    grid_arr = np.asarray(grid, dtype=np.float64)
-    hits = np.zeros(len(grid), dtype=np.int64)
+    if not pairs:
+        raise ValueError("tune_threshold requires at least one record")
+    los: list[float] = []
+    his: list[float] = []
     for gt_rec, pred_rec in pairs:
         if pred_rec.boxes is None:
             raise ValueError(f"prediction record {gt_rec.id!r} carries no boxes tier")
         target = annotation_to_count(gt_rec).count
-        kept = nms(pred_rec.boxes, nms_iou)
-        scores = np.sort(np.asarray([b.score for b in kept], dtype=np.float64))
-        counts = len(kept) - np.searchsorted(scores, grid_arr, side="left")
-        hits += counts == target
+        scores = sorted((b.score for b in nms(pred_rec.boxes, nms_iou)), reverse=True)
+        if target > len(scores):
+            continue
+        his.append(scores[target - 1] if target > 0 else np.inf)
+        los.append(scores[target] if target < len(scores) else -np.inf)
+    grid_arr = np.asarray(grid, dtype=np.float64)
+    first = np.searchsorted(grid_arr, los, side="right")
+    stop = np.searchsorted(grid_arr, his, side="right")
+    size = len(grid) + 1
+    hits = np.cumsum(np.bincount(first, minlength=size) - np.bincount(stop, minlength=size))[:-1]
     accuracies = (hits / len(pairs)).tolist()
     return ThresholdCurve.from_sweep(grid, accuracies)
 
@@ -154,12 +203,3 @@ def count_pairs_from_datasets(gt: Dataset, pred: Dataset) -> list[CountPair]:
         CountPair(g.id, annotation_to_count(g).count, annotation_to_count(p).count)
         for g, p in aligned_records(gt, pred)
     ]
-
-
-def accuracy_at_threshold(pred: Dataset, gt: Dataset, conf: float, nms_iou: float = 0.7) -> float:
-    """Count accuracy of box predictions at one confidence threshold."""
-    pairs = []
-    for gt_rec, pred_rec in aligned_records(gt, pred):
-        boxes = apply_detector_postprocessing(pred_rec.boxes or (), conf, nms_iou)
-        pairs.append(CountPair(gt_rec.id, annotation_to_count(gt_rec).count, len(boxes)))
-    return count_metrics(pairs).accuracy

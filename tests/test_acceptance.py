@@ -21,13 +21,14 @@ from ircount.harness import FractionCurve, bench_fps, break_even, render_blobs, 
 from ircount.metrics import CountPair, count_metrics, maed, round_half_away
 from ircount.postprocess import (
     BoundingBox,
-    accuracy_at_threshold,
     default_grid,
     iou,
     nms,
     tune_threshold,
 )
 from ircount.preprocess import Frame, percentile, winsorize
+from oracles import accuracy_at_threshold
+from oracles import naive_nms as _naive_nms_indices
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> bool:
@@ -257,16 +258,6 @@ def test_c06_threshold_tuner_finds_constructed_optimum():
 
 
 # -- 7 -----------------------------------------------------------------------
-
-
-def _naive_nms_indices(boxes, thresh):
-    remaining = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
-    kept = []
-    while remaining:
-        best = remaining.pop(0)
-        kept.append(best)
-        remaining = [i for i in remaining if iou(boxes[i], boxes[best]) <= thresh]
-    return sorted(kept)
 
 
 def test_c07_iou_hand_cases_and_nms_oracle():

@@ -169,6 +169,25 @@ def test_tune_threshold_writes_curve_and_svg(tmp_path, capsys):
     assert len(points_attr.split()) == 101
 
 
+def test_tune_threshold_rejects_grid_step_not_dividing_one(tmp_path, capsys):
+    gt = Dataset("gt", (ImageRecord("a", 64, 64, count=CountLabel(1)),))
+    pred = Dataset("pred", (ImageRecord("a", 64, 64, boxes=(BoundingBox(0.5, 0.5, 0.1, 0.1, 0.5),)),))
+    save_manifest(gt, tmp_path / "gt.json")
+    save_manifest(pred, tmp_path / "pred.json")
+    code = run(
+        [
+            "tune-threshold",
+            "--gt", str(tmp_path / "gt.json"),
+            "--pred", str(tmp_path / "pred.json"),
+            "--grid-step", "0.3",
+            "--out", str(tmp_path / "curve.json"),
+        ]
+    )
+    assert code == 1
+    assert "0.3" in capsys.readouterr().err
+    assert not (tmp_path / "curve.json").exists()
+
+
 def test_locate_cam_output(tmp_path, capsys):
     scene = harness.synth_scene(3, 64, 64, blob_sigma=2.0, min_sep=16.0, seed=5)
     camloc.write_activation_map(scene.amap, tmp_path / "m.cam")

@@ -216,6 +216,17 @@ def test_manifest_collects_multiple_violations(tmp_path):
     assert "record 'a'" in str(err.value) and "record 'b'" in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["width", "height"])
+def test_manifest_rejects_bool_dimensions(tmp_path, field):
+    raw = {"id": "r-bool", "width": 64, "height": 64, "count": 1}
+    raw[field] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"name": "b", "records": [raw]}))
+    with pytest.raises(ManifestError, match="r-bool") as err:
+        load_manifest(path)
+    assert str(path) in str(err.value) and "True" in str(err.value)
+
+
 def test_manifest_rejects_duplicate_ids(tmp_path):
     doc = {
         "name": "dup",

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_box
+from ircount import postprocess
 from ircount.corpus import BoundingBox, CountLabel, Dataset, ImageRecord
 from ircount.postprocess import (
     ThresholdCurve,
-    accuracy_at_threshold,
     confidence_filter,
     count_pairs_from_datasets,
     default_grid,
@@ -18,6 +18,7 @@ from ircount.postprocess import (
     nms,
     tune_threshold,
 )
+from oracles import accuracy_at_threshold, naive_nms
 
 boxes_strategy = st.builds(
     BoundingBox,
@@ -27,18 +28,6 @@ boxes_strategy = st.builds(
     st.floats(0.05, 0.4, allow_nan=False),
     st.floats(0.0, 1.0, allow_nan=False),
 )
-
-
-def naive_nms(boxes, thresh):
-    """Independent reference: repeatedly take the best remaining box and
-    delete everything overlapping it too much."""
-    remaining = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
-    kept = []
-    while remaining:
-        best = remaining.pop(0)
-        kept.append(best)
-        remaining = [i for i in remaining if iou(boxes[i], boxes[best]) <= thresh]
-    return sorted(kept)
 
 
 def random_boxes(rng, n):
@@ -128,6 +117,70 @@ def test_nms_subset_and_fixed_point(boxes, thresh):
     assert nms(kept, thresh) == kept
 
 
+# Dyadic lattice coordinates make exact ties: edge-touching boxes (iw == 0),
+# repeated IoU values and equal scores.
+LATTICE = [i / 16 for i in range(1, 16)]
+SIZES = [i / 16 for i in range(1, 9)]
+TIED_SCORES = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def mixed_boxes(rng, n):
+    """Random boxes, lattice boxes, tied scores and value-equal duplicates."""
+    boxes = []
+    for _ in range(n):
+        kind = rng.random()
+        if boxes and kind < 0.15:
+            b = rng.choice(boxes)
+            boxes.append(BoundingBox(b.cx, b.cy, b.w, b.h, b.score))
+        elif kind < 0.6:
+            score = rng.choice(TIED_SCORES) if rng.random() < 0.5 else rng.random()
+            boxes.append(
+                BoundingBox(rng.choice(LATTICE), rng.choice(LATTICE), rng.choice(SIZES), rng.choice(SIZES), score)
+            )
+        else:
+            boxes.extend(random_boxes(rng, 1))
+    return boxes
+
+
+def assert_nms_matches_naive(boxes, thresh):
+    """Same boxes, by identity, so value-equal duplicates are told apart."""
+    got = nms(boxes, thresh)
+    assert [id(b) for b in got] == [id(boxes[i]) for i in naive_nms(boxes, thresh)]
+
+
+@given(
+    st.integers(0, 150),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.sampled_from([0.0, 1.0, 1 / 3, 0.5]), st.floats(0, 1)),
+)
+@settings(max_examples=80, deadline=None)
+def test_nms_matches_naive_reference_up_to_150_boxes(k, seed, thresh):
+    assert_nms_matches_naive(mixed_boxes(random.Random(seed), k), thresh)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_nms_matches_naive_reference_across_row_blocks(monkeypatch, block):
+    monkeypatch.setattr(postprocess, "_NMS_BLOCK", block)
+    rng = random.Random(block)
+    for _ in range(40):
+        boxes = mixed_boxes(rng, rng.randint(0, 60))
+        assert_nms_matches_naive(boxes, rng.choice([0.0, 0.5, rng.random()]))
+
+
+def test_nms_edge_touching_boxes_do_not_overlap():
+    left = BoundingBox(0.25, 0.5, 0.25, 0.25, 0.9)
+    right = BoundingBox(0.5, 0.5, 0.25, 0.25, 0.8)
+    assert left.cx + left.w / 2 == right.cx - right.w / 2
+    assert nms([left, right], 0.0) == [left, right]
+
+
+def test_nms_threshold_one_keeps_duplicates():
+    a = make_box(0.5, 0.5, 0.2, 0.2, score=0.5)
+    b = make_box(0.5, 0.5, 0.2, 0.2, score=0.5)
+    assert [id(x) for x in nms([a, b], 1.0)] == [id(a), id(b)]
+    assert [id(x) for x in nms([a, b], 0.999)] == [id(a)]
+
+
 def test_threshold_curve_invariants():
     curve = ThresholdCurve.from_sweep([0.0, 0.5, 1.0], [0.25, 0.75, 0.75])
     assert curve.best_threshold == 0.5
@@ -143,6 +196,17 @@ def test_default_grid_resolution():
     assert len(grid) == 1001
     assert grid[0] == 0.0 and grid[-1] == 1.0
     assert grid[500] == 0.5
+
+
+def test_default_grid_values_are_exact_fractions():
+    grid = default_grid(0.001)
+    assert all(grid[i] == i / 1000 for i in range(1001))
+
+
+@pytest.mark.parametrize("step", [0.3, 0.4, 0.6, 0.003])
+def test_default_grid_rejects_steps_not_dividing_one(step):
+    with pytest.raises(ValueError, match=str(step)):
+        default_grid(step)
 
 
 def detector_fixture():
@@ -189,6 +253,26 @@ def test_tune_threshold_matches_direct_evaluation_everywhere():
     assert list(curve.accuracies) == direct
 
 
+@pytest.mark.parametrize("seed", [3, 31])
+def test_tune_threshold_matches_direct_evaluation_on_crowd_instance(seed):
+    # Scores rounded to 0.01 land exactly on grid points; targets include
+    # 0, more than the boxes present, and records with no boxes at all.
+    rng = random.Random(seed)
+    gt_recs, pred_recs = [], []
+    for i in range(16):
+        boxes = [
+            BoundingBox(b.cx, b.cy, b.w, b.h, round(b.score, 2)) if rng.random() < 0.5 else b
+            for b in mixed_boxes(rng, 0 if rng.random() < 0.25 else rng.randint(1, 120))
+        ]
+        target = rng.choice([0, rng.randint(0, len(boxes) + 5)])
+        gt_recs.append(ImageRecord(f"r{i}", 64, 64, count=CountLabel(target)))
+        pred_recs.append(ImageRecord(f"r{i}", 64, 64, boxes=tuple(boxes)))
+    gt, pred = Dataset("gt", tuple(gt_recs)), Dataset("pred", tuple(pred_recs))
+    grid = default_grid(0.01)
+    curve = tune_threshold(pred, gt, grid, nms_iou=0.5)
+    assert list(curve.accuracies) == [accuracy_at_threshold(pred, gt, t, nms_iou=0.5) for t in grid]
+
+
 def test_tune_threshold_perfect_everywhere_ties_to_smallest():
     gt = Dataset("gt", (ImageRecord("a", 64, 64, count=CountLabel(0)),))
     pred = Dataset("pred", (ImageRecord("a", 64, 64, boxes=()),))
@@ -202,6 +286,11 @@ def test_tune_threshold_id_mismatch():
     pred = Dataset("pred", (ImageRecord("z", 64, 64, boxes=()),))
     with pytest.raises(ValueError, match="align"):
         tune_threshold(pred, gt, [0.5])
+
+
+def test_tune_threshold_rejects_empty_manifests():
+    with pytest.raises(ValueError, match="requires at least one record"):
+        tune_threshold(Dataset("pred", ()), Dataset("gt", ()), [0.5])
 
 
 def test_tune_threshold_requires_boxes_tier():
