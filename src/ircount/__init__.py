@@ -9,7 +9,6 @@ frames, and drives dataset-size and inference-speed experiments.
 from ircount.assignment import (
     CostMatrix,
     MatchResult,
-    brute_force_match,
     hungarian,
     match_points,
     matching_objective,
@@ -94,7 +93,6 @@ __all__ = [
     "binarize",
     "boxes_to_points",
     "break_even",
-    "brute_force_match",
     "confidence_filter",
     "count_metrics",
     "decide_count_classification",

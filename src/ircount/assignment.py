@@ -2,13 +2,11 @@
 
 Unequal set sizes are handled by padding the cost matrix to square with a
 fixed penalty, so every unmatched point contributes exactly one penalty
-term to the objective. A brute-force solver over all injective matchings
-serves as the verification oracle for the fast solver.
+term to the objective.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -174,47 +172,3 @@ def match_points(gt: Sequence[Point], pred: Sequence[Point], penalty: float = 1.
         (i, j, dist[i][j]) for i, j in assignment if i < n and j < m
     )
     return MatchResult(pairs, n - len(pairs), m - len(pairs))
-
-
-def brute_force_match(gt: Sequence[Point], pred: Sequence[Point], penalty: float = 1.0) -> MatchResult:
-    """Exhaustive reference matcher for small instances (max side <= 8).
-
-    Enumerates every injective matching of the smaller side into the
-    larger and minimizes pair distances plus penalties for the leftovers.
-    Ties keep the first matching in enumeration order.
-    """
-    if not penalty > 0.0:
-        raise ValueError(f"penalty must be positive, got {penalty}")
-    n, m = len(gt), len(pred)
-    if max(n, m) > 8:
-        raise ValueError(f"instance too large for brute force: {n} x {m} (max side 8)")
-    if n == 0 and m == 0:
-        return MatchResult((), 0, 0)
-    dist = _distance_matrix(gt, pred)
-
-    best_perm: tuple[int, ...] | None = None
-    best_total = math.inf
-    if n <= m:
-        for perm in itertools.permutations(range(m), n):
-            total = 0.0
-            for i, j in enumerate(perm):
-                total += dist[i][j]
-            if total < best_total:
-                best_total = total
-                best_perm = perm
-        assert best_perm is not None
-        pairs = tuple((i, j, dist[i][j]) for i, j in enumerate(best_perm))
-    else:
-        for perm in itertools.permutations(range(n), m):
-            total = 0.0
-            for j, i in enumerate(perm):
-                total += dist[i][j]
-            if total < best_total:
-                best_total = total
-                best_perm = perm
-        assert best_perm is not None
-        pairs = tuple(
-            sorted((i, j, dist[i][j]) for j, i in enumerate(best_perm))
-        )
-    k = len(pairs)
-    return MatchResult(pairs, n - k, m - k)

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -266,27 +267,11 @@ def _cmd_convert(args: argparse.Namespace) -> None:
             if rec.boxes is None:
                 raise ValueError(f"record {rec.id!r} has no boxes to convert")
             records.append(
-                ImageRecord(
-                    rec.id,
-                    rec.width,
-                    rec.height,
-                    None,
-                    tuple(corpus.boxes_to_points(rec.boxes)),
-                    rec.count,
-                    rec.frame_path,
-                )
+                replace(rec, boxes=None, points=tuple(corpus.boxes_to_points(rec.boxes)))
             )
         else:  # count
             records.append(
-                ImageRecord(
-                    rec.id,
-                    rec.width,
-                    rec.height,
-                    None,
-                    None,
-                    corpus.annotation_to_count(rec),
-                    rec.frame_path,
-                )
+                replace(rec, boxes=None, points=None, count=corpus.annotation_to_count(rec))
             )
     corpus.save_manifest(Dataset(ds.name, tuple(records)), args.out)
 

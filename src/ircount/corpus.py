@@ -287,11 +287,19 @@ def _record_to_dict(rec: ImageRecord) -> dict:
     return out
 
 
-def manifest_to_dict(ds: Dataset) -> dict:
-    """Serialize a dataset to the manifest schema (normalized coords)."""
-    return {"name": ds.name, "records": [_record_to_dict(r) for r in ds.records]}
+def _record_line(rec: ImageRecord) -> str:
+    """The record's manifest line, encoded on first use and kept on the
+    (frozen, so never stale) instance outside its fields."""
+    line = rec.__dict__.get("_line")
+    if line is None:
+        line = json.dumps(_record_to_dict(rec))
+        object.__setattr__(rec, "_line", line)
+    return line
 
 
 def save_manifest(ds: Dataset, path: str | Path) -> None:
-    """Write a manifest that loads back field-exactly (atomic write)."""
-    write_text_atomic(path, json.dumps(manifest_to_dict(ds), indent=1) + "\n")
+    """Write a manifest, one record per line, that loads back field-exactly
+    (atomic write)."""
+    records = ",\n".join(_record_line(rec) for rec in ds.records)
+    tail = "\n]}\n" if records else "]}\n"
+    write_text_atomic(path, f'{{"name": {json.dumps(ds.name)}, "records": [\n{records}{tail}')

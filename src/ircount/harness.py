@@ -190,9 +190,22 @@ class ProcessPredictor:
         return line.rstrip("\n")
 
     def close(self) -> None:
+        """Close the child's stdin, reap it, then close its stdout. A child
+        still running 10 s later is terminated, then killed if SIGTERM has
+        not ended it within 2 s, so no child outlives this call."""
         if self._proc.stdin is not None:
             self._proc.stdin.close()
-        self._proc.wait(timeout=10)
+        try:
+            self._proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            self._proc.terminate()
+            try:
+                self._proc.wait(timeout=2)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
+        if self._proc.stdout is not None:
+            self._proc.stdout.close()
 
     def __enter__(self) -> "ProcessPredictor":
         return self

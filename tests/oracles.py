@@ -1,5 +1,9 @@
 """Slow, obviously-correct reference implementations used only by tests."""
 
+import itertools
+import math
+
+from ircount.assignment import MatchResult, _distance_matrix
 from ircount.corpus import aligned_records, annotation_to_count
 from ircount.metrics import CountPair, count_metrics
 from ircount.postprocess import apply_detector_postprocessing, iou
@@ -24,3 +28,47 @@ def accuracy_at_threshold(pred, gt, conf, nms_iou=0.7):
         boxes = apply_detector_postprocessing(pred_rec.boxes or (), conf, nms_iou)
         pairs.append(CountPair(gt_rec.id, annotation_to_count(gt_rec).count, len(boxes)))
     return count_metrics(pairs).accuracy
+
+
+def brute_force_match(gt, pred, penalty=1.0):
+    """Exhaustive reference matcher for small instances (max side <= 8).
+
+    Enumerates every injective matching of the smaller side into the
+    larger and minimizes pair distances plus penalties for the leftovers.
+    Ties keep the first matching in enumeration order.
+    """
+    if not penalty > 0.0:
+        raise ValueError(f"penalty must be positive, got {penalty}")
+    n, m = len(gt), len(pred)
+    if max(n, m) > 8:
+        raise ValueError(f"instance too large for brute force: {n} x {m} (max side 8)")
+    if n == 0 and m == 0:
+        return MatchResult((), 0, 0)
+    dist = _distance_matrix(gt, pred)
+
+    best_perm = None
+    best_total = math.inf
+    if n <= m:
+        for perm in itertools.permutations(range(m), n):
+            total = 0.0
+            for i, j in enumerate(perm):
+                total += dist[i][j]
+            if total < best_total:
+                best_total = total
+                best_perm = perm
+        assert best_perm is not None
+        pairs = tuple((i, j, dist[i][j]) for i, j in enumerate(best_perm))
+    else:
+        for perm in itertools.permutations(range(n), m):
+            total = 0.0
+            for j, i in enumerate(perm):
+                total += dist[i][j]
+            if total < best_total:
+                best_total = total
+                best_perm = perm
+        assert best_perm is not None
+        pairs = tuple(
+            sorted((i, j, dist[i][j]) for j, i in enumerate(best_perm))
+        )
+    k = len(pairs)
+    return MatchResult(pairs, n - k, m - k)

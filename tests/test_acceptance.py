@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from ircount.assignment import brute_force_match, match_points, matching_objective
+from ircount.assignment import match_points, matching_objective
 from ircount.camloc import binarize, find_components, locate_people
 from ircount.corpus import CountLabel, Dataset, ImageRecord, load_manifest, save_manifest, split_dataset
 from ircount.harness import FractionCurve, bench_fps, break_even, render_blobs, synth_scene
@@ -27,7 +27,7 @@ from ircount.postprocess import (
     tune_threshold,
 )
 from ircount.preprocess import Frame, percentile, winsorize
-from oracles import accuracy_at_threshold
+from oracles import accuracy_at_threshold, brute_force_match
 from oracles import naive_nms as _naive_nms_indices
 
 

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from ircount.assignment import (
     CostMatrix,
     MatchResult,
-    brute_force_match,
     hungarian,
     match_points,
     matching_objective,
 )
+from oracles import brute_force_match
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 point_lists = st.lists(st.tuples(unit, unit), max_size=6)

@@ -1,7 +1,11 @@
 """End-to-end command-line behavior: exit codes, files, formats."""
 
 import json
+import os
+import random
+import stat
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +252,34 @@ def test_ablate_writes_subsets(tmp_path, capsys):
     assert {r.id for r in smallest} <= {r.id for r in largest}
 
 
+def test_ablate_subsets_match_fresh_encoding(tmp_path, capsys):
+    # ablate's subsets share record objects, so all but the first save of a
+    # record reuse its cached line; each file must equal a fresh encoding.
+    rng = random.Random(4)
+    records = tuple(
+        ImageRecord(
+            f"r{i}-é",
+            64,
+            48,
+            boxes=tuple(
+                make_box(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), score=rng.random())
+                for _ in range(i % 4)
+            ),
+            frame_path=f"f/{i}" if i % 2 else None,
+        )
+        for i in range(30)
+    )
+    src = tmp_path / "src.json"
+    save_manifest(Dataset("src", records), src)
+    argv = ["ablate", "--manifest", str(src), "--fractions", "0.1:1.0:0.1", "--seed", "2"]
+    assert run([*argv, "--out-dir", str(tmp_path / "subsets")]) == 0
+    for entry in json.loads(capsys.readouterr().out)["subsets"]:
+        written = corpus.load_manifest(entry["path"])
+        fresh = corpus.load_manifest(src).index()
+        save_manifest(Dataset(written.name, tuple(fresh[r.id] for r in written)), tmp_path / "e.json")
+        assert (tmp_path / "e.json").read_bytes() == Path(entry["path"]).read_bytes()
+
+
 def test_break_even_cli(tmp_path, capsys):
     curve = {"fractions": [0.1, 1.0], "accuracies": [0.1, 1.0], "label": "demo"}
     (tmp_path / "curve.json").write_text(json.dumps(curve))
@@ -290,6 +322,17 @@ def test_synth_cli_writes_scene(tmp_path, capsys):
     assert len(ds.records[0].points) == 4
     amap = camloc.read_activation_map(payload["map"])
     assert amap.values.max() == 255.0
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_umask_mode(tmp_path, capsys, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert run(["synth", "--n", "2", "--dims", "32x32", "--seed", "1", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("scene.json", "map.cam"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
 
 
 def test_report_cli_renders_table(tmp_path, capsys):

@@ -160,6 +160,70 @@ def test_manifest_round_trip_field_exact(tmp_path):
     assert load_manifest(path) == ds
 
 
+unit = st.floats(0.0, 1.0)
+size = st.floats(0.0, 1.0, exclude_min=True)
+boxes_st = st.lists(st.builds(BoundingBox, unit, unit, size, size, unit), max_size=4)
+points_st = st.lists(st.builds(PointAnnotation, unit, unit, unit), max_size=4)
+
+
+@st.composite
+def records(draw):
+    boxes = draw(st.none() | boxes_st.map(tuple))
+    points = draw(st.none() | points_st.map(tuple))
+    sizes = {len(tier) for tier in (boxes, points) if tier is not None}
+    if not sizes:
+        count = CountLabel(draw(st.integers(0, 20)))
+    elif len(sizes) == 1:
+        count = draw(st.none() | st.just(CountLabel(sizes.pop())))
+    else:
+        count = None
+    return ImageRecord(
+        draw(st.text(min_size=1)),
+        draw(st.integers(1, 4096)),
+        draw(st.integers(1, 4096)),
+        boxes,
+        points,
+        count,
+        draw(st.none() | st.text()),
+    )
+
+
+@given(
+    name=st.text(min_size=1),
+    recs=st.lists(records(), max_size=6, unique_by=lambda r: r.id),
+)
+def test_manifest_round_trip_any_records(tmp_path_factory, name, recs):
+    ds = Dataset(name, tuple(recs))
+    path = tmp_path_factory.mktemp("rt") / "m.json"
+    save_manifest(ds, path)
+    assert load_manifest(path) == ds
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_manifest_one_record_per_line(tmp_path, n):
+    ds = Dataset('q"uo\\te', tuple(count_record(f'r"{i}', i) for i in range(n)))
+    path = tmp_path / "m.json"
+    save_manifest(ds, path)
+    text = path.read_text(encoding="utf-8")
+    lines = text.split("\n")
+    assert text.endswith("\n") and len(lines) - 1 == n + 2
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-2]] == json.loads(text)["records"]
+    assert load_manifest(path) == ds
+
+
+def test_record_encoding_leaves_identity_alone(tmp_path):
+    rec, twin = full_record(), full_record()
+    before = (hash(rec), repr(rec))
+    save_manifest(Dataset("a", (rec, count_record("x", 1))), tmp_path / "a.json")
+    save_manifest(Dataset("b", (count_record("y", 2), rec)), tmp_path / "b.json")
+    save_manifest(Dataset("c", (twin,)), tmp_path / "c.json")
+    assert rec == twin and (hash(rec), repr(rec)) == before == (hash(twin), repr(twin))
+    line_a = (tmp_path / "a.json").read_text(encoding="utf-8").split("\n")[1].rstrip(",")
+    line_b = (tmp_path / "b.json").read_text(encoding="utf-8").split("\n")[2]
+    line_c = (tmp_path / "c.json").read_text(encoding="utf-8").split("\n")[1]
+    assert line_a == line_b == line_c
+
+
 def test_manifest_pixel_coordinates(tmp_path):
     doc = {
         "name": "px",

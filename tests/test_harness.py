@@ -1,5 +1,6 @@
 """Fraction ablation, break-even analysis, FPS bench, synthetic scenes."""
 
+import signal
 import sys
 import time
 
@@ -190,6 +191,20 @@ def test_process_predictor_benches():
         stats = bench_fps(predictor, warmup=2, iters=10, inputs=["x", "y"])
     assert stats.timed_iters == 10
     assert stats.fps > 0
+
+
+def test_process_predictor_close_reaps_child_that_ignores_eof_and_sigterm():
+    stubborn = (
+        "import signal, sys, time\n"
+        "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+        "sys.stdin.readline()\n"
+        "print('ready', flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    predictor = ProcessPredictor([sys.executable, "-u", "-c", stubborn])
+    assert predictor("go") == "ready"
+    predictor.close()
+    assert predictor._proc.poll() == -signal.SIGKILL
 
 
 def test_synth_scene_zero_people():
