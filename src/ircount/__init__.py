@@ -6,6 +6,7 @@ thresholds, extracts locations from activation maps, preprocesses raw IR
 frames, and drives dataset-size and inference-speed experiments.
 """
 
+from ircount._gridio import Grid
 from ircount.assignment import (
     CostMatrix,
     MatchResult,
@@ -14,7 +15,6 @@ from ircount.assignment import (
     matching_objective,
 )
 from ircount.camloc import (
-    ActivationMap,
     Component,
     LocateResult,
     binarize,
@@ -62,12 +62,11 @@ from ircount.postprocess import (
     nms,
     tune_threshold,
 )
-from ircount.preprocess import Frame, normalize_unit, winsorize
+from ircount.preprocess import normalize_unit, winsorize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationMap",
     "BenchStats",
     "BoundingBox",
     "Component",
@@ -76,7 +75,7 @@ __all__ = [
     "CountPair",
     "Dataset",
     "FractionCurve",
-    "Frame",
+    "Grid",
     "ImageRecord",
     "LocateResult",
     "MaedConfig",

@@ -1,4 +1,4 @@
-"""Shared reader/writer for the plain-text grid container.
+"""The checked grid type and the reader/writer for its plain-text container.
 
 Layout: a header line ``<TAG> v1``, a dimensions line ``<width> <height>``,
 then width*height whitespace-separated reals in row-major order.
@@ -6,6 +6,7 @@ then width*height whitespace-separated reals in row-major order.
 
 from __future__ import annotations
 
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,54 @@ class GridFormatError(ValueError):
     """A grid file does not follow the expected container layout."""
 
 
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """A checked single-channel grid: an IR frame or a class activation map.
+
+    ``values`` is held as a read-only float64 array of shape (height, width)
+    with every value finite. ``value_range`` is checked at construction and
+    not stored: activation maps pass ``camloc.CAM_RANGE``, frames pass none.
+    """
+
+    width: int
+    height: int
+    values: np.ndarray
+    value_range: InitVar[tuple[float, float] | None] = None
+
+    def __post_init__(self, value_range: tuple[float, float] | None) -> None:
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"grid dimensions must be positive, got {self.width} x {self.height}")
+        arr = np.array(self.values, dtype=np.float64)
+        if arr.size != self.width * self.height:
+            raise ValueError(f"grid has {arr.size} values, expected {self.width * self.height}")
+        arr = arr.reshape(self.height, self.width)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("grid values must all be finite")
+        if value_range is not None:
+            lo, hi = value_range
+            if arr.min() < lo or arr.max() > hi:
+                raise ValueError(f"grid values must lie in [{lo:g}, {hi:g}]")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
+
+
+def checked_grid(
+    path: str | Path, read: tuple[int, int, np.ndarray], value_range: tuple[float, float] | None = None
+) -> Grid:
+    """Build a :class:`Grid` from a :func:`read_grid` result, naming ``path``
+    when the values fail the grid's checks."""
+    try:
+        return Grid(*read, value_range)
+    except ValueError as exc:
+        raise GridFormatError(f"{path}: {exc}") from None
+
+
 def read_grid(path: str | Path, tag: str) -> tuple[int, int, np.ndarray]:
     """Read a grid file, returning (width, height, values) with values shaped (height, width)."""
     path = Path(path)
     try:
         text = path.read_text(encoding="ascii")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GridFormatError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     if not lines or lines[0].strip() != f"{tag} v1":
@@ -50,8 +93,8 @@ def read_grid(path: str | Path, tag: str) -> tuple[int, int, np.ndarray]:
     return width, height, values.reshape(height, width)
 
 
-def format_grid(tag: str, values: np.ndarray) -> str:
-    """Render a (height, width) array in the grid container format.
+def write_grid(path: str | Path, tag: str, values: np.ndarray) -> None:
+    """Write a (height, width) array as a grid file atomically (temp file + rename).
 
     Floats are rendered with repr so a read-back is bit-exact.
     """
@@ -59,9 +102,4 @@ def format_grid(tag: str, values: np.ndarray) -> str:
     height, width = values.shape
     rows = [f"{tag} v1", f"{width} {height}"]
     rows.extend(" ".join(repr(v) for v in row) for row in values.tolist())
-    return "\n".join(rows) + "\n"
-
-
-def write_grid(path: str | Path, tag: str, values: np.ndarray) -> None:
-    """Write a grid file atomically (temp file + rename)."""
-    write_text_atomic(path, format_grid(tag, values), encoding="ascii")
+    write_text_atomic(path, "\n".join(rows) + "\n", encoding="ascii")

@@ -16,34 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ircount._gridio import read_grid, write_grid
+from ircount._gridio import Grid, checked_grid, read_grid, write_grid
 from ircount.corpus import PointAnnotation
+from ircount.metrics import round_half_away
 
 CAM_TAG = "CAM"
+CAM_RANGE = (0.0, 255.0)  # activation maps are on a 0-255 scale
 DEFAULT_BINARY_THRESHOLD = 27.0  # on the 0-255 map scale
-
-
-@dataclass(frozen=True, eq=False)
-class ActivationMap:
-    """Dense class-evidence grid with values on a 0-255 scale."""
-
-    width: int
-    height: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"map dimensions must be positive, got {self.width} x {self.height}")
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.size != self.width * self.height:
-            raise ValueError(f"map has {arr.size} values, expected {self.width * self.height}")
-        arr = arr.reshape(self.height, self.width)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("map values must all be finite")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 255.0):
-            raise ValueError("map values must lie in [0, 255]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
 
 
 @dataclass(frozen=True)
@@ -88,7 +67,7 @@ class LocateResult:
     degenerate: bool = False
 
 
-def binarize(amap: ActivationMap, threshold: float) -> np.ndarray:
+def binarize(amap: Grid, threshold: float) -> np.ndarray:
     """Boolean mask of pixels strictly above the threshold."""
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
@@ -132,11 +111,6 @@ def _centroid_point(comp: Component) -> PointAnnotation:
     return PointAnnotation(comp.centroid[0], comp.centroid[1])
 
 
-def _round_half_away(value: float) -> int:
-    base = int(value)
-    return base + 1 if value - base >= 0.5 else base
-
-
 def _sample_pixels(comp: Component, n: int, rng: random.Random) -> list[PointAnnotation]:
     ordered = sorted(comp.pixels)
     if n <= comp.area:
@@ -154,7 +128,7 @@ def sample_inside(comp: Component, n: int, seed: int) -> list[PointAnnotation]:
 
 
 def locate_people(
-    amap: ActivationMap,
+    amap: Grid,
     binary_threshold: float,
     num_instances: int,
     seed: int = 0,
@@ -197,7 +171,7 @@ def locate_people(
     avg = total_area / num_instances
     emitted: list[PointAnnotation] = []
     for comp in comps:
-        share = _round_half_away(comp.area / avg)
+        share = round_half_away(comp.area / avg)
         if share == 0:
             continue
         if share == 1:
@@ -212,12 +186,11 @@ def locate_people(
     return LocateResult(tuple(emitted), "split")
 
 
-def read_activation_map(path: str | Path) -> ActivationMap:
+def read_activation_map(path: str | Path) -> Grid:
     """Read a map from the CAM v1 text container."""
-    width, height, values = read_grid(path, CAM_TAG)
-    return ActivationMap(width, height, values)
+    return checked_grid(path, read_grid(path, CAM_TAG), CAM_RANGE)
 
 
-def write_activation_map(amap: ActivationMap, path: str | Path) -> None:
+def write_activation_map(amap: Grid, path: str | Path) -> None:
     """Write a map to the CAM v1 text container."""
     write_grid(path, CAM_TAG, amap.values)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from ircount import camloc, corpus, harness, metrics, postprocess, preprocess
 from ircount._fsutil import write_text_atomic
-from ircount._gridio import GridFormatError, read_grid
+from ircount._gridio import GridFormatError, checked_grid, read_grid
 from ircount.corpus import Dataset, ImageRecord, ManifestError
 from ircount.harness import FractionCurve
 from ircount.postprocess import ThresholdCurve
@@ -125,11 +126,7 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if out:
-        write_text_atomic(out, text)
-    else:
-        sys.stdout.write(text)
+    _emit_text(json.dumps(payload, indent=2), out)
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -139,6 +136,13 @@ def _emit_text(text: str, out: str | None) -> None:
         write_text_atomic(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _load_json(path: str) -> object:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot parse {path}: {exc}") from None
 
 
 def _points_of(rec: ImageRecord) -> list[corpus.PointAnnotation]:
@@ -157,14 +161,21 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise ValueError(f"dims must look like 64x64, got {text!r}") from None
 
 
+_MAX_FRACTIONS = 1000  # each fraction writes one subset manifest
+
+
 def _parse_fractions(text: str) -> list[float]:
     if ":" in text:
         try:
             start, stop, step = (float(v) for v in text.split(":"))
         except ValueError:
             raise ValueError(f"fractions must be start:stop:step or a comma list, got {text!r}") from None
-        if step <= 0:
-            raise ValueError("fraction step must be positive")
+        if not 0.0 < step < math.inf:
+            raise ValueError(f"fraction step must be positive and finite, got {text!r}")
+        if not (0.0 < start <= 1.0 and 0.0 < stop <= 1.0):
+            raise ValueError(f"fraction start and stop must lie in (0, 1], got {text!r}")
+        if (stop - start) / step >= _MAX_FRACTIONS:
+            raise ValueError(f"fraction range {text!r} gives more than {_MAX_FRACTIONS} fractions")
         values = []
         k = 0
         while True:
@@ -226,7 +237,7 @@ def _cmd_tune_threshold(args: argparse.Namespace) -> None:
         "best_threshold": curve.best_threshold,
         "best_accuracy": curve.best_accuracy,
     }
-    write_text_atomic(args.out, json.dumps(payload, indent=2) + "\n")
+    _emit(payload, args.out)
     if args.svg:
         emit_plot(curve, args.svg)
     _emit({"best_threshold": curve.best_threshold, "best_accuracy": curve.best_accuracy, "out": args.out}, None)
@@ -239,7 +250,7 @@ def _cmd_locate_cam(args: argparse.Namespace) -> None:
         amap = camloc.read_activation_map(args.map)
     else:
         width, height, values = read_grid(args.map, camloc.CAM_TAG)
-        amap = camloc.ActivationMap(width, height, values * (255.0 / args.map_scale))
+        amap = checked_grid(args.map, (width, height, values * (255.0 / args.map_scale)), camloc.CAM_RANGE)
     seed = _resolve_seed(args.seed)
     result = camloc.locate_people(amap, args.threshold, args.count, seed)
     _emit(
@@ -265,7 +276,7 @@ def _cmd_convert(args: argparse.Namespace) -> None:
     for rec in ds.records:
         if args.to == "points":
             if rec.boxes is None:
-                raise ValueError(f"record {rec.id!r} has no boxes to convert")
+                raise ValueError(f"{args.infile}: record {rec.id!r} has no boxes to convert")
             records.append(
                 replace(rec, boxes=None, points=tuple(corpus.boxes_to_points(rec.boxes)))
             )
@@ -301,13 +312,15 @@ def _cmd_ablate(args: argparse.Namespace) -> None:
 
 
 def _cmd_break_even(args: argparse.Namespace) -> None:
-    doc = json.loads(Path(args.curve).read_text(encoding="utf-8"))
+    doc = _load_json(args.curve)
     try:
         curve = FractionCurve(
             tuple(doc["fractions"]), tuple(doc["accuracies"]), doc.get("label", "")
         )
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"curve file must carry 'fractions' and 'accuracies' lists: {exc}") from exc
+        raise ValueError(
+            f"{args.curve}: curve file must carry 'fractions' and 'accuracies' lists: {exc}"
+        ) from exc
     fraction = harness.break_even(curve, args.target)
     _emit({"target": args.target, "fraction": fraction, "label": curve.label}, args.out)
 
@@ -352,36 +365,42 @@ def _cmd_synth(args: argparse.Namespace) -> None:
     _emit({"map": str(map_path), "manifest": str(manifest_path), "count": args.n, "seed": seed}, None)
 
 
-def _report_rows(doc: object) -> list[tuple[str, metrics.MetricsReport]]:
+def _number(value: object) -> float:
+    """Return ``value`` if it is a JSON number that formats as a float; raise otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    float(value)  # an int beyond the float range raises OverflowError here
+    return value
+
+
+def _report_rows(doc: object, path: str) -> list[tuple[str, metrics.MetricsReport]]:
     if isinstance(doc, dict) and "rows" in doc:
         doc = doc["rows"]
     if isinstance(doc, dict):
         doc = [doc]
     if not isinstance(doc, list):
-        raise ValueError("results file must be a report object or a list of them")
+        raise ValueError(f"{path}: results file must be a report object or a list of them")
     rows = []
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
-            raise ValueError(f"results entry #{i} is not an object")
+            raise ValueError(f"{path}: results entry #{i} is not an object")
         try:
             per_class = None
             if "per_class" in entry:
                 per_class = {
-                    int(k): (v["accuracy"], v["occurrences"])
+                    int(k): (_number(v["accuracy"]), v["occurrences"])
                     for k, v in entry["per_class"].items()
                 }
-            report = metrics.MetricsReport(
-                entry["accuracy"], entry["mse"], entry["mae"], entry["n"], per_class
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"results entry #{i} is missing a field: {exc}") from exc
+            accuracy, mse, mae = (_number(entry[key]) for key in ("accuracy", "mse", "mae"))
+            report = metrics.MetricsReport(accuracy, mse, mae, entry["n"], per_class)
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise ValueError(f"{path}: results entry #{i} is missing a field or has a bad value: {exc}") from exc
         rows.append((str(entry.get("model", f"model-{i}")), report))
     return rows
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
-    doc = json.loads(Path(args.infile).read_text(encoding="utf-8"))
-    rows = _report_rows(doc)
+    rows = _report_rows(_load_json(args.infile), args.infile)
     if args.format == "json":
         _emit({"rows": [metrics.report_to_dict(r, m) for m, r in rows]}, args.out)
         return

@@ -189,23 +189,24 @@ def split_dataset(ds: Dataset, train_count: int, seed: int) -> tuple[Dataset, Da
     return Dataset(f"{ds.name}-train", train), Dataset(f"{ds.name}-test", test)
 
 
-def _parse_box(raw: object, width: int, height: int, pixel: bool) -> BoundingBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 5:
-        raise ValueError(f"box must be [cx, cy, w, h, score], got {raw!r}")
-    cx, cy, w, h, score = (float(v) for v in raw)
-    if pixel:
-        cx, w = cx / width, w / width
-        cy, h = cy / height, h / height
-    return BoundingBox(cx, cy, w, h, score)
+def _parse_entry(
+    raw: object, kind: str, cls: type[BoundingBox | PointAnnotation], width: int, height: int, pixel: bool
+) -> BoundingBox | PointAnnotation:
+    """Build a box or point from its JSON entry: the class's fields, in order.
 
-
-def _parse_point(raw: object, width: int, height: int, pixel: bool) -> PointAnnotation:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ValueError(f"point must be [cx, cy, score], got {raw!r}")
-    cx, cy, score = (float(v) for v in raw)
+    Pixel coordinates divide even positions by the width and odd ones by
+    the height; the last position is the score and is never divided.
+    """
+    fields = cls.__match_args__
+    if not isinstance(raw, (list, tuple)) or len(raw) != len(fields):
+        raise ValueError(f"{kind} must be [{', '.join(fields)}], got {raw!r}")
+    if bool in map(type, raw):
+        raise ValueError(f"{kind} values must be numbers, not booleans, got {raw!r}")
+    values = list(map(float, raw))
     if pixel:
-        cx, cy = cx / width, cy / height
-    return PointAnnotation(cx, cy, score)
+        for i in range(len(values) - 1):
+            values[i] /= height if i % 2 else width
+    return cls(*values)
 
 
 def _parse_record(raw: dict, pixel: bool, max_count: int) -> ImageRecord:
@@ -213,13 +214,13 @@ def _parse_record(raw: dict, pixel: bool, max_count: int) -> ImageRecord:
     if not isinstance(rec_id, str) or not rec_id:
         raise ValueError(f"missing or invalid id: {raw.get('id')!r}")
     width, height = raw.get("width"), raw.get("height")
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in (width, height)):
-        raise ValueError(f"width and height must be integers, got {width!r} x {height!r}")
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in (width, height)):
+        raise ValueError(f"width and height must be positive integers, got {width!r} x {height!r}")
     boxes = points = count = None
     if "boxes" in raw:
-        boxes = tuple(_parse_box(b, width, height, pixel) for b in raw["boxes"])
+        boxes = tuple(_parse_entry(b, "box", BoundingBox, width, height, pixel) for b in raw["boxes"])
     if "points" in raw:
-        points = tuple(_parse_point(p, width, height, pixel) for p in raw["points"])
+        points = tuple(_parse_entry(p, "point", PointAnnotation, width, height, pixel) for p in raw["points"])
     if "count" in raw:
         count = CountLabel(raw["count"])
         if count.count > max_count:
@@ -240,7 +241,7 @@ def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ManifestError(f"cannot parse manifest {path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
         raise ManifestError(f"{path}: manifest must be an object with a 'records' list")
@@ -265,7 +266,7 @@ def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
                 raise ValueError("duplicate record id")
             seen.add(rec.id)
             records.append(rec)
-        except ValueError as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             errors.append(f"record {label!r}: {exc}")
     if errors:
         raise ManifestError(

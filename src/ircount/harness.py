@@ -16,7 +16,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ircount.camloc import ActivationMap
+from ircount._gridio import Grid
+from ircount.camloc import CAM_RANGE
 from ircount.corpus import BoundingBox, Dataset, PointAnnotation
 from ircount.metrics import round_half_away
 
@@ -61,7 +62,7 @@ class BenchStats:
 class SynthScene(NamedTuple):
     """A rendered activation map with its planted ground truth."""
 
-    amap: ActivationMap
+    amap: Grid
     points: list[PointAnnotation]
     boxes: list[BoundingBox]
 
@@ -220,7 +221,7 @@ def render_blobs(
     centers_px: Sequence[tuple[int, int]],
     sigmas: float | Sequence[float],
     peak: float = 255.0,
-) -> ActivationMap:
+) -> Grid:
     """Render isotropic Gaussian blobs, composited by elementwise max.
 
     Max composition keeps every blob peak exactly at ``peak`` and the map
@@ -237,7 +238,7 @@ def render_blobs(
             raise ValueError(f"blob sigma must be positive, got {sigma}")
         blob = peak * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
         np.maximum(grid, blob, out=grid)
-    return ActivationMap(width, height, grid)
+    return Grid(width, height, grid, CAM_RANGE)
 
 
 def synth_scene(

@@ -179,7 +179,16 @@ def report_to_dict(report: MetricsReport, model: str | None = None) -> dict:
     return out
 
 
-_TABLE_HEADER = ("Model", "Acc↑", "MSE↓", "MAE↓")
+def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:
+    """Render a header and rows of string cells as a markdown or CSV table."""
+    if fmt == "markdown":
+        lines = ["| " + " | ".join(header) + " |", "|" + "|".join(["---"] * len(header)) + "|"]
+        lines.extend("| " + " | ".join(row) + " |" for row in rows)
+    elif fmt == "csv":
+        lines = [",".join(row) for row in (header, *rows)]
+    else:
+        raise ValueError(f"unknown table format {fmt!r}")
+    return "\n".join(lines)
 
 
 def render_count_table(rows: Sequence[tuple[str, MetricsReport]], fmt: str = "markdown") -> str:
@@ -188,18 +197,7 @@ def render_count_table(rows: Sequence[tuple[str, MetricsReport]], fmt: str = "ma
         (model, f"{100.0 * r.accuracy:.2f} %", f"{r.mse:.3f}", f"{r.mae:.3f}")
         for model, r in rows
     ]
-    if fmt == "markdown":
-        lines = [
-            "| " + " | ".join(_TABLE_HEADER) + " |",
-            "|" + "|".join(["---"] * len(_TABLE_HEADER)) + "|",
-        ]
-        lines.extend("| " + " | ".join(row) + " |" for row in cells)
-        return "\n".join(lines)
-    if fmt == "csv":
-        lines = [",".join(_TABLE_HEADER)]
-        lines.extend(",".join(row) for row in cells)
-        return "\n".join(lines)
-    raise ValueError(f"unknown table format {fmt!r}")
+    return _render_table(("Model", "Acc↑", "MSE↓", "MAE↓"), cells, fmt)
 
 
 def render_per_class_table(report: MetricsReport, fmt: str = "markdown") -> str:
@@ -210,16 +208,4 @@ def render_per_class_table(report: MetricsReport, fmt: str = "markdown") -> str:
         (str(gt), str(occ), f"{100.0 * acc:.2f} %")
         for gt, (acc, occ) in report.per_class.items()
     ]
-    header = ("Count", "Occurrences", "Acc↑")
-    if fmt == "markdown":
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "|" + "|".join(["---"] * len(header)) + "|",
-        ]
-        lines.extend("| " + " | ".join(row) + " |" for row in cells)
-        return "\n".join(lines)
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(row) for row in cells)
-        return "\n".join(lines)
-    raise ValueError(f"unknown table format {fmt!r}")
+    return _render_table(("Count", "Occurrences", "Acc↑"), cells, fmt)

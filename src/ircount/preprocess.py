@@ -2,48 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ircount._gridio import read_grid, write_grid
+from ircount._gridio import Grid, checked_grid, read_grid, write_grid
 
 FRAME_TAG = "FRAME"
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """A single-channel temperature frame, values in arbitrary units.
-
-    ``values`` is held as a read-only float64 array of shape (height, width).
-    """
-
-    width: int
-    height: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"frame dimensions must be positive, got {self.width} x {self.height}")
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.size != self.width * self.height:
-            raise ValueError(
-                f"frame has {arr.size} values, expected {self.width * self.height}"
-            )
-        arr = arr.reshape(self.height, self.width)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("frame values must all be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
 def percentile(values: np.ndarray, q: float) -> float:
-    """q-th percentile by linear interpolation on the sorted values."""
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q, method="linear"))
+    """q-th percentile by linear interpolation on the sorted values.
+
+    Finite neighbours whose difference overflows are interpolated at half
+    scale instead, which is exact except for subnormals.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = float(np.percentile(arr, q, method="linear"))
+    if not np.isfinite(result) and np.isfinite(arr).all():
+        result = 2.0 * float(np.percentile(arr / 2.0, q, method="linear"))
+    return result
 
 
-def winsorize_bounds(frame: Frame, lo: float = 5.0, hi: float = 95.0) -> tuple[float, float]:
+def winsorize_bounds(frame: Grid, lo: float = 5.0, hi: float = 95.0) -> tuple[float, float]:
     """Clip bounds used by :func:`winsorize`.
 
     The interpolated lo/hi percentiles delimit the kept range; the actual
@@ -65,31 +47,30 @@ def winsorize_bounds(frame: Frame, lo: float = 5.0, hi: float = 95.0) -> tuple[f
     return float(inside.min()), float(inside.max())
 
 
-def winsorize(frame: Frame, lo: float = 5.0, hi: float = 95.0) -> Frame:
+def winsorize(frame: Grid, lo: float = 5.0, hi: float = 95.0) -> Grid:
     """Trim outliers by clipping into the lo/hi percentile range.
 
     Per-frame statistics: cameras report absolute temperatures that drift
     per scene, so each frame is trimmed against its own distribution.
     """
     low, high = winsorize_bounds(frame, lo, hi)
-    return Frame(frame.width, frame.height, np.clip(frame.values, low, high))
+    return Grid(frame.width, frame.height, np.clip(frame.values, low, high))
 
 
-def normalize_unit(frame: Frame) -> Frame:
+def normalize_unit(frame: Grid) -> Grid:
     """Affinely map values onto [0, 1]; constant frames map to all zeros."""
     vmin = float(frame.values.min())
     vmax = float(frame.values.max())
     if vmax == vmin:
-        return Frame(frame.width, frame.height, np.zeros_like(frame.values))
-    return Frame(frame.width, frame.height, (frame.values - vmin) / (vmax - vmin))
+        return Grid(frame.width, frame.height, np.zeros_like(frame.values))
+    return Grid(frame.width, frame.height, (frame.values - vmin) / (vmax - vmin))
 
 
-def read_frame(path: str | Path) -> Frame:
+def read_frame(path: str | Path) -> Grid:
     """Read a frame from the FRAME v1 text container."""
-    width, height, values = read_grid(path, FRAME_TAG)
-    return Frame(width, height, values)
+    return checked_grid(path, read_grid(path, FRAME_TAG))
 
 
-def write_frame(frame: Frame, path: str | Path) -> None:
+def write_frame(frame: Grid, path: str | Path) -> None:
     """Write a frame to the FRAME v1 text container (bit-exact round trip)."""
     write_grid(path, FRAME_TAG, frame.values)

@@ -26,7 +26,8 @@ from ircount.postprocess import (
     nms,
     tune_threshold,
 )
-from ircount.preprocess import Frame, percentile, winsorize
+from ircount import Grid
+from ircount.preprocess import percentile, winsorize
 from oracles import accuracy_at_threshold, brute_force_match
 from oracles import naive_nms as _naive_nms_indices
 
@@ -313,7 +314,7 @@ def test_c08_winsorization_properties_and_percentile_oracle():
         h = int(rng.integers(2, 13))
         w = int(rng.integers(2, 13))
         values = rng.normal(loc=rng.uniform(-50, 50), scale=rng.uniform(0.1, 100), size=(h, w))
-        frame = Frame(w, h, values)
+        frame = Grid(w, h, values)
         once = winsorize(frame, 5, 95)
         twice = winsorize(once, 5, 95)
         if not np.array_equal(once.values, twice.values):

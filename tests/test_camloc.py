@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ircount import Grid
+from ircount._gridio import GridFormatError
 from ircount.assignment import match_points
 from ircount.camloc import (
-    ActivationMap,
+    CAM_RANGE,
     Component,
     LocateResult,
     binarize,
@@ -67,7 +69,7 @@ def pixel_map(width, height, coords, value=255.0):
     grid = np.zeros((height, width))
     for x, y in coords:
         grid[y, x] = value
-    return ActivationMap(width, height, grid)
+    return Grid(width, height, grid, CAM_RANGE)
 
 
 def square(x0, y0, side=3):
@@ -76,30 +78,38 @@ def square(x0, y0, side=3):
 
 def test_activation_map_rejects_out_of_scale():
     with pytest.raises(ValueError, match="255"):
-        ActivationMap(2, 1, np.array([0.0, 300.0]))
+        Grid(2, 1, np.array([0.0, 300.0]), CAM_RANGE)
     with pytest.raises(ValueError, match="255"):
-        ActivationMap(2, 1, np.array([-1.0, 0.0]))
+        Grid(2, 1, np.array([-1.0, 0.0]), CAM_RANGE)
+
+
+def test_read_activation_map_out_of_scale_names_the_file(tmp_path):
+    path = tmp_path / "hot.cam"
+    path.write_text("CAM v1\n2 1\n0.0 300.0\n")
+    with pytest.raises(GridFormatError, match="255") as err:
+        read_activation_map(path)
+    assert str(path) in str(err.value)
 
 
 def test_binarize_all_zero_empty():
-    amap = ActivationMap(4, 4, np.zeros((4, 4)))
+    amap = Grid(4, 4, np.zeros((4, 4)), CAM_RANGE)
     assert not binarize(amap, 27.0).any()
 
 
 def test_binarize_full():
-    amap = ActivationMap(4, 4, np.full((4, 4), 255.0))
+    amap = Grid(4, 4, np.full((4, 4), 255.0), CAM_RANGE)
     assert binarize(amap, 27.0).all()
 
 
 def test_binarize_threshold_strict():
-    amap = ActivationMap(3, 1, np.array([10.0, 27.0, 30.0]))
+    amap = Grid(3, 1, np.array([10.0, 27.0, 30.0]), CAM_RANGE)
     assert binarize(amap, 27.0).ravel().tolist() == [False, False, True]
 
 
 @given(bool_masks, st.floats(0, 254), st.floats(0, 254))
 @settings(max_examples=50)
 def test_binarize_monotone_in_threshold(mask, t1, t2):
-    amap = ActivationMap(mask.shape[1], mask.shape[0], mask.astype(float) * 255.0)
+    amap = Grid(mask.shape[1], mask.shape[0], mask.astype(float) * 255.0, CAM_RANGE)
     low, high = min(t1, t2), max(t1, t2)
     assert not (binarize(amap, high) & ~binarize(amap, low)).any()
 
@@ -241,7 +251,7 @@ def test_locate_people_exact_and_largest_ignore_seed():
 def test_locate_people_empty_mask_fallback():
     grid = np.zeros((8, 8))
     grid[5, 6] = 20.0  # below threshold, still the argmax
-    amap = ActivationMap(8, 8, grid)
+    amap = Grid(8, 8, grid, CAM_RANGE)
     result = locate_people(amap, 27.0, 3, seed=0)
     assert result.degenerate and result.branch == "empty-mask"
     assert len(result.points) == 3

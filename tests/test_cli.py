@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import make_box
-from ircount import camloc, corpus, harness, preprocess
-from ircount.cli import emit_plot, run
+from ircount import Grid, camloc, corpus, harness, preprocess
+from ircount.cli import _parse_fractions, emit_plot, run
 from ircount.corpus import BoundingBox, CountLabel, Dataset, ImageRecord, save_manifest
 from ircount.harness import FractionCurve
 from ircount.postprocess import ThresholdCurve
@@ -82,7 +82,7 @@ def test_eval_locate_boxes_fall_back_to_centers(tmp_path, capsys):
 
 
 def test_winsorize_round_trip(tmp_path):
-    frame = preprocess.Frame(10, 10, np.arange(1.0, 101.0))
+    frame = Grid(10, 10, np.arange(1.0, 101.0))
     preprocess.write_frame(frame, tmp_path / "in.frame")
     code = run(["winsorize", str(tmp_path / "in.frame"), str(tmp_path / "out.frame"), "--lo", "5", "--hi", "95"])
     assert code == 0
@@ -278,6 +278,67 @@ def test_ablate_subsets_match_fresh_encoding(tmp_path, capsys):
         fresh = corpus.load_manifest(src).index()
         save_manifest(Dataset(written.name, tuple(fresh[r.id] for r in written)), tmp_path / "e.json")
         assert (tmp_path / "e.json").read_bytes() == Path(entry["path"]).read_bytes()
+
+
+def test_parse_fractions_range_and_list():
+    assert _parse_fractions("0.1:1.0:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    assert _parse_fractions("0.25,1") == [0.25, 1.0]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0.1:inf:0.1", "lie in"),
+        ("0.1:1:nan", "step"),
+        ("nan:1:0.1", "lie in"),
+        ("0.1:1:inf", "step"),
+        ("0.1:1:0", "step"),
+        ("0.1:1:-0.1", "step"),
+        ("0.1:2:0.5", "lie in"),
+        ("0:1:0.1", "lie in"),
+        ("0.1:1:1e-300", "more than"),
+    ],
+)
+def test_parse_fractions_rejects_bad_ranges_at_once(text, message):
+    with pytest.raises(ValueError, match=message):
+        _parse_fractions(text)
+
+
+def test_convert_without_boxes_names_the_file(tmp_path, capsys):
+    src = write_counts_manifest(tmp_path / "counts.json", "c", [1])
+    assert run(["convert", "--in", str(src), "--to", "points", "--out", str(tmp_path / "o.json")]) == 1
+    assert str(src) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "break-even"])
+@pytest.mark.parametrize(
+    "payload", [b"{oops", b"\xff\xfe", b"[" * 200_000 + b"]" * 200_000], ids=["syntax", "non-utf8", "deep"]
+)
+def test_json_inputs_that_do_not_parse_name_the_file(tmp_path, capsys, command, payload):
+    path = tmp_path / "in.json"
+    path.write_bytes(payload)
+    argv = ["report", "--in", str(path)] if command == "report" else ["break-even", "--curve", str(path), "--target", "0.5"]
+    assert run(argv) == 1
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"accuracy": 0.5, "mse": 0.1, "mae": 0.1, "n": 2, "per_class": [1, 2]},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 0.1, "n": 2, "per_class": {"x": {"accuracy": 1, "occurrences": 1}}},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 0.1, "n": 2, "per_class": {"1": {"accuracy": "1", "occurrences": 1}}},
+        {"accuracy": "0.5", "mse": 0.1, "mae": 0.1, "n": 2},
+        {"accuracy": 0.5, "mse": True, "mae": 0.1, "n": 2},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 10**400, "n": 2},
+    ],
+)
+def test_report_rejects_bad_values_naming_the_file(tmp_path, capsys, entry):
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps([entry]))
+    assert run(["report", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "#0" in err
 
 
 def test_break_even_cli(tmp_path, capsys):

@@ -291,6 +291,42 @@ def test_manifest_rejects_bool_dimensions(tmp_path, field):
     assert str(path) in str(err.value) and "True" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"boxes": 5},
+        {"boxes": [[0.5, None, 0.1, 0.1, 1.0]]},
+        {"boxes": [[0.5, 0.5, 0.1, 0.1, False]]},
+        {"points": [[True, 0.5, 1.0]]},
+        {"points": [[0.5, 0.5, 10**400]]},
+        {"coords": "pixel", "width": 0, "points": [[1, 1, 1.0]]},
+        {"coords": "pixel", "width": 10**400, "points": [[1, 1, 1.0]]},
+    ],
+)
+def test_manifest_malformed_entry_names_file_and_record(tmp_path, fields):
+    raw = {"id": "r-odd", "width": 64, "height": 64}
+    coords = fields.pop("coords", "normalized")
+    raw.update(fields)
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"name": "o", "coords": coords, "records": [raw]}))
+    with pytest.raises(ManifestError, match="r-odd") as err:
+        load_manifest(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b'{"name": "\xff", "records": []}', b"[" * 200_000 + b"]" * 200_000],
+    ids=["non-utf8", "deep-nesting"],
+)
+def test_manifest_undecodable_names_file(tmp_path, payload):
+    path = tmp_path / "raw.json"
+    path.write_bytes(payload)
+    with pytest.raises(ManifestError, match="parse") as err:
+        load_manifest(path)
+    assert str(path) in str(err.value)
+
+
 def test_manifest_rejects_duplicate_ids(tmp_path):
     doc = {
         "name": "dup",

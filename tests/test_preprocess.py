@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ircount import Grid
+from ircount._gridio import GridFormatError
 from ircount.preprocess import (
-    Frame,
     normalize_unit,
     percentile,
     read_frame,
@@ -35,7 +36,7 @@ def frame_of(values, width=None):
     values = np.asarray(values, dtype=float).ravel()
     width = width or len(values)
     height = len(values) // width
-    return Frame(width, height, values)
+    return Grid(width, height, values)
 
 
 finite_frames = arrays(
@@ -47,11 +48,11 @@ finite_frames = arrays(
 
 def test_frame_validation():
     with pytest.raises(ValueError, match="values"):
-        Frame(3, 3, np.zeros(8))
+        Grid(3, 3, np.zeros(8))
     with pytest.raises(ValueError, match="finite"):
-        Frame(2, 1, np.array([1.0, np.nan]))
+        Grid(2, 1, np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match="positive"):
-        Frame(0, 3, np.zeros(0))
+        Grid(0, 3, np.zeros(0))
 
 
 def test_frame_values_read_only():
@@ -99,7 +100,7 @@ def test_winsorize_bounds_degenerate_two_values():
 @given(finite_frames)
 @settings(max_examples=60)
 def test_winsorize_idempotent(values):
-    f = Frame(values.shape[1], values.shape[0], values)
+    f = Grid(values.shape[1], values.shape[0], values)
     once = winsorize(f, 5, 95)
     twice = winsorize(once, 5, 95)
     assert np.array_equal(once.values, twice.values)
@@ -108,7 +109,7 @@ def test_winsorize_idempotent(values):
 @given(finite_frames)
 @settings(max_examples=60)
 def test_winsorize_monotone_and_contained(values):
-    f = Frame(values.shape[1], values.shape[0], values)
+    f = Grid(values.shape[1], values.shape[0], values)
     out = winsorize(f, 5, 95)
     flat_in = f.values.ravel()
     flat_out = out.values.ravel()
@@ -119,6 +120,13 @@ def test_winsorize_monotone_and_contained(values):
     assert flat_out.min() >= p5 - 1e-9 * max(1.0, abs(p5))
     assert flat_out.max() <= p95 + 1e-9 * max(1.0, abs(p95))
     assert np.all(np.isfinite(flat_out))
+
+
+def test_winsorize_spans_the_float_range():
+    values = np.linspace(-1.0, 1.0, 21) * np.finfo(np.float64).max
+    out = winsorize(frame_of(values), 5, 95)
+    assert out.values.min() == values[1] and out.values.max() == values[-2]
+    assert percentile([-1.7e308, 1.7e308], 50) == 0.0
 
 
 @pytest.mark.parametrize("lo,hi", [(-1, 95), (50, 95), (5, 50), (5, 101)])
@@ -142,7 +150,7 @@ def test_normalize_unit_constant_is_zeros():
 @given(finite_frames)
 @settings(max_examples=40)
 def test_normalize_unit_hits_bounds_for_nonconstant(values):
-    f = Frame(values.shape[1], values.shape[0], values)
+    f = Grid(values.shape[1], values.shape[0], values)
     out = normalize_unit(f)
     if np.ptp(f.values) == 0:
         assert np.array_equal(out.values, np.zeros_like(f.values))
@@ -170,3 +178,16 @@ def test_frame_file_errors(tmp_path):
     short.write_text("FRAME v1\n2 2\n1 2 3\n")
     with pytest.raises(ValueError, match="expected 4 values"):
         read_frame(short)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"FRAME v1\n2 1\n1.0 nan\n", b"FRAME v1\n2 1\n1.0 1e999\n", b"FRAME v1\n2 1\n1.0 \xff\n"],
+    ids=["nan", "overflow", "non-ascii"],
+)
+def test_frame_file_value_errors_name_the_file(tmp_path, payload):
+    path = tmp_path / "odd.frame"
+    path.write_bytes(payload)
+    with pytest.raises(GridFormatError) as err:
+        read_frame(path)
+    assert str(path) in str(err.value)
