@@ -87,7 +87,9 @@ def read_grid(path: str | Path, tag: str) -> tuple[int, int, np.ndarray]:
             f"{path}: expected {width * height} values, found {len(tokens)}"
         )
     try:
-        values = np.array([float(t) for t in tokens], dtype=np.float64)
+        # One float at a time: a list of every value as a Python float
+        # left the process about 1 MB larger after each 640x512 read.
+        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
     except ValueError as exc:
         raise GridFormatError(f"{path}: non-numeric grid value: {exc}") from exc
     return width, height, values.reshape(height, width)
@@ -101,5 +103,5 @@ def write_grid(path: str | Path, tag: str, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=np.float64)
     height, width = values.shape
     rows = [f"{tag} v1", f"{width} {height}"]
-    rows.extend(" ".join(repr(v) for v in row) for row in values.tolist())
+    rows.extend(" ".join(map(repr, row.tolist())) for row in values)
     write_text_atomic(path, "\n".join(rows) + "\n", encoding="ascii")

@@ -20,11 +20,17 @@ from ircount._gridio import Grid
 from ircount.camloc import CAM_RANGE
 from ircount.corpus import BoundingBox, Dataset, PointAnnotation
 from ircount.metrics import round_half_away
+from ircount.postprocess import check_curve
 
 # A predictor maps one input item to a prediction (count, points, boxes,
 # or a raw line from an external process). The harness assumes nothing
 # about determinism or internals.
 Predictor = Callable[[object], object]
+
+# ProcessPredictor.close() waits this long for the child to exit after its
+# stdin closes, then this long again after SIGTERM before sending SIGKILL.
+CLOSE_WAIT_S = 10.0
+TERM_WAIT_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -38,14 +44,7 @@ class FractionCurve:
     def __post_init__(self) -> None:
         object.__setattr__(self, "fractions", tuple(self.fractions))
         object.__setattr__(self, "accuracies", tuple(self.accuracies))
-        if len(self.fractions) != len(self.accuracies) or not self.fractions:
-            raise ValueError("fractions and accuracies must be equal-length and non-empty")
-        if any(b <= a for a, b in zip(self.fractions, self.fractions[1:])):
-            raise ValueError("fractions must be strictly ascending")
-        if self.fractions[0] <= 0.0 or self.fractions[-1] > 1.0:
-            raise ValueError("fractions must lie in (0, 1]")
-        if any(not 0.0 <= a <= 1.0 for a in self.accuracies):
-            raise ValueError("accuracies must lie in [0, 1]")
+        check_curve("fractions", self.fractions, self.accuracies, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -192,16 +191,17 @@ class ProcessPredictor:
 
     def close(self) -> None:
         """Close the child's stdin, reap it, then close its stdout. A child
-        still running 10 s later is terminated, then killed if SIGTERM has
-        not ended it within 2 s, so no child outlives this call."""
+        still running ``CLOSE_WAIT_S`` later is terminated, then killed if
+        SIGTERM has not ended it within ``TERM_WAIT_S``, so no child
+        outlives this call."""
         if self._proc.stdin is not None:
             self._proc.stdin.close()
         try:
-            self._proc.wait(timeout=10)
+            self._proc.wait(timeout=CLOSE_WAIT_S)
         except subprocess.TimeoutExpired:
             self._proc.terminate()
             try:
-                self._proc.wait(timeout=2)
+                self._proc.wait(timeout=TERM_WAIT_S)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()

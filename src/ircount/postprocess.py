@@ -17,6 +17,20 @@ from ircount.corpus import BoundingBox, Dataset, aligned_records, annotation_to_
 from ircount.metrics import CountPair
 
 
+def check_curve(axis: str, xs: Sequence[float], accuracies: Sequence[float], open_low: bool = False) -> None:
+    """Check an accuracy curve: ``xs`` (named ``axis`` in messages) strictly
+    ascending within [0, 1], or (0, 1] when ``open_low``, with one accuracy
+    in [0, 1] per point."""
+    if len(xs) != len(accuracies) or not xs:
+        raise ValueError(f"{axis} and accuracies must be equal-length and non-empty")
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError(f"{axis} must be strictly ascending")
+    if (xs[0] <= 0.0 if open_low else xs[0] < 0.0) or xs[-1] > 1.0:
+        raise ValueError(f"{axis} must lie in {'(' if open_low else '['}0, 1]")
+    if any(not 0.0 <= a <= 1.0 for a in accuracies):
+        raise ValueError("accuracies must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ThresholdCurve:
     """Accuracy as a function of confidence threshold.
@@ -33,14 +47,7 @@ class ThresholdCurve:
     def __post_init__(self) -> None:
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
         object.__setattr__(self, "accuracies", tuple(self.accuracies))
-        if len(self.thresholds) != len(self.accuracies) or not self.thresholds:
-            raise ValueError("thresholds and accuracies must be equal-length and non-empty")
-        if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise ValueError("thresholds must be strictly ascending")
-        if self.thresholds[0] < 0.0 or self.thresholds[-1] > 1.0:
-            raise ValueError("thresholds must lie in [0, 1]")
-        if any(not 0.0 <= a <= 1.0 for a in self.accuracies):
-            raise ValueError("accuracies must lie in [0, 1]")
+        check_curve("thresholds", self.thresholds, self.accuracies)
         if self.best_accuracy != max(self.accuracies):
             raise ValueError("best_accuracy must equal max(accuracies)")
         expect = next(t for t, a in zip(self.thresholds, self.accuracies) if a == self.best_accuracy)

@@ -58,12 +58,19 @@ def winsorize(frame: Grid, lo: float = 5.0, hi: float = 95.0) -> Grid:
 
 
 def normalize_unit(frame: Grid) -> Grid:
-    """Affinely map values onto [0, 1]; constant frames map to all zeros."""
+    """Affinely map values onto [0, 1]; constant frames map to all zeros.
+
+    A range wider than the largest float is mapped at half scale instead,
+    which is exact except for subnormals.
+    """
     vmin = float(frame.values.min())
     vmax = float(frame.values.max())
     if vmax == vmin:
         return Grid(frame.width, frame.height, np.zeros_like(frame.values))
-    return Grid(frame.width, frame.height, (frame.values - vmin) / (vmax - vmin))
+    span = vmax - vmin
+    if np.isfinite(span):
+        return Grid(frame.width, frame.height, (frame.values - vmin) / span)
+    return Grid(frame.width, frame.height, (frame.values / 2.0 - vmin / 2.0) / (vmax / 2.0 - vmin / 2.0))
 
 
 def read_frame(path: str | Path) -> Grid:

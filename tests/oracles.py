@@ -3,7 +3,10 @@
 import itertools
 import math
 
+import numpy as np
+
 from ircount.assignment import MatchResult, _distance_matrix
+from ircount.camloc import Component
 from ircount.corpus import aligned_records, annotation_to_count
 from ircount.metrics import CountPair, count_metrics
 from ircount.postprocess import apply_detector_postprocessing, iou
@@ -72,3 +75,75 @@ def brute_force_match(gt, pred, penalty=1.0):
         )
     k = len(pairs)
     return MatchResult(pairs, n - k, m - k)
+
+
+_NEIGHBORS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+
+
+def flood_fill_components(mask):
+    """8-connected components of a boolean mask, ordered by (min y, min x).
+
+    The per-pixel stack flood fill that ``find_components`` replaced:
+    components are discovered in raster order of their first pixel, and
+    the stable sort keeps that order between equal scan keys.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    height, width = mask.shape
+    seen = np.zeros_like(mask, dtype=bool)
+    comps = []
+    for y in range(height):
+        for x in range(width):
+            if not mask[y, x] or seen[y, x]:
+                continue
+            stack = [(x, y)]
+            seen[y, x] = True
+            pixels = []
+            while stack:
+                px, py = stack.pop()
+                pixels.append((px, py))
+                for dx, dy in _NEIGHBORS:
+                    nx, ny = px + dx, py + dy
+                    if 0 <= nx < width and 0 <= ny < height and mask[ny, nx] and not seen[ny, nx]:
+                        seen[ny, nx] = True
+                        stack.append((nx, ny))
+            comps.append(Component.from_pixels(pixels, width, height))
+    comps.sort(key=Component.scan_key)
+    return comps
+
+
+def union_find_components(mask):
+    """Independent labeling oracle via union-find over 8-neighbor edges."""
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    parent = {}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for y in range(h):
+        for x in range(w):
+            if mask[y, x]:
+                parent[(x, y)] = (x, y)
+    for y in range(h):
+        for x in range(w):
+            if not mask[y, x]:
+                continue
+            for dx, dy in ((1, 0), (0, 1), (1, 1), (-1, 1)):
+                nx, ny = x + dx, y + dy
+                if 0 <= nx < w and 0 <= ny < h and mask[ny, nx]:
+                    union((x, y), (nx, ny))
+    groups = {}
+    for pix in parent:
+        groups.setdefault(find(pix), set()).add(pix)
+    return sorted(
+        (frozenset(g) for g in groups.values()),
+        key=lambda g: (min(y for _, y in g), min(x for x, _ in g)),
+    )

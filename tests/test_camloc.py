@@ -1,5 +1,7 @@
 """Binarization, connected components, and count-guided point extraction."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -22,47 +24,11 @@ from ircount.camloc import (
     sample_inside,
     write_activation_map,
 )
+from ircount.cli import run
 from ircount.harness import render_blobs
+from oracles import flood_fill_components, union_find_components
 
 bool_masks = arrays(np.bool_, st.tuples(st.integers(1, 12), st.integers(1, 12)))
-
-
-def union_find_components(mask):
-    """Independent labeling oracle via union-find over 8-neighbor edges."""
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for y in range(h):
-        for x in range(w):
-            if mask[y, x]:
-                parent[(x, y)] = (x, y)
-    for y in range(h):
-        for x in range(w):
-            if not mask[y, x]:
-                continue
-            for dx, dy in ((1, 0), (0, 1), (1, 1), (-1, 1)):
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < w and 0 <= ny < h and mask[ny, nx]:
-                    union((x, y), (nx, ny))
-    groups = {}
-    for pix in parent:
-        groups.setdefault(find(pix), set()).add(pix)
-    return sorted(
-        (frozenset(g) for g in groups.values()),
-        key=lambda g: (min(y for _, y in g), min(x for x, _ in g)),
-    )
 
 
 def pixel_map(width, height, coords, value=255.0):
@@ -155,9 +121,112 @@ def test_find_components_matches_union_find_oracle(mask):
     assert sum(c.area for c in comps) == int(mask.sum())
 
 
+def _same_components(mask):
+    got = find_components(mask)
+    want = flood_fill_components(mask)
+    assert [c.area for c in got] == [c.area for c in want]
+    assert [tuple(map(float.hex, c.centroid)) for c in got] == [tuple(map(float.hex, c.centroid)) for c in want]
+    assert [c.scan_key() for c in got] == [c.scan_key() for c in want]
+    assert [c.pixels for c in got] == [c.pixels for c in want]
+    for c in got:  # sampling indexes the pixels in (x, y) order
+        assert list(zip(c.xs.tolist(), c.ys.tolist())) == sorted(c.pixels)
+    return got
+
+
+def _shape(max_side):
+    return st.tuples(st.integers(1, max_side), st.integers(1, max_side))
+
+
+def _diagonal_only(mask):
+    """Keep one colour of a checkerboard, so pixels touch only at corners."""
+    ys, xs = np.indices(mask.shape)
+    return mask & ((xs + ys) % 2 == 0)
+
+
+def _snake(height, width, diagonal_turns):
+    """Full rows on even lines, joined at alternating ends by one pixel.
+    With diagonal turns the rows stop one short of each turn, so a turn
+    touches its rows only at corners."""
+    mask = np.zeros((height, width), dtype=bool)
+    mask[::2] = True
+    for i, y in enumerate(range(1, height, 2)):
+        x = width - 1 if i % 2 == 0 else 0
+        mask[y, x] = True
+        if diagonal_turns and width > 2:
+            mask[y - 1, x] = False
+            if y + 1 < height:
+                mask[y + 1, x] = False
+    return mask
+
+
+@st.composite
+def tied_masks(draw):
+    """Two staircases that both start on row 0 and both reach column 0
+    lower down, so they share the scan key (0, 0), above random rows."""
+    k = draw(st.integers(2, 6))
+    noise = draw(arrays(np.bool_, st.tuples(st.integers(0, 8), st.just(2 * k + 1))))
+    top = np.zeros((2 * k + 2, 2 * k + 1), dtype=bool)
+    for i in range(k + 1):
+        top[i, k - i] = True  # from (k, 0) down-left to (0, k)
+    top[: 2 * k, 2 * k] = True  # down column 2k ...
+    top[2 * k, : 2 * k] = True  # ... then left along row 2k to x = 0
+    return np.vstack([top, noise])
+
+
+component_masks = st.one_of(
+    arrays(np.bool_, _shape(24)),
+    arrays(np.bool_, _shape(24)).map(_diagonal_only),
+    st.integers(1, 60).map(lambda n: np.ones((1, n), dtype=bool)),
+    st.integers(1, 60).map(lambda n: np.ones((n, 1), dtype=bool)),
+    arrays(np.bool_, st.one_of(st.tuples(st.just(1), st.integers(1, 60)), st.tuples(st.integers(1, 60), st.just(1)))),
+    _shape(24).map(lambda s: np.ones(s, dtype=bool)),
+    st.builds(_snake, st.integers(1, 24), st.integers(1, 24), st.booleans()),
+    tied_masks(),
+)
+
+
+@given(component_masks)
+@settings(max_examples=300)
+def test_find_components_matches_flood_fill(mask):
+    _same_components(mask)
+
+
+def test_find_components_tied_scan_keys_keep_discovery_order():
+    # Both components have scan key (0, 0). In the first mask the lone
+    # pixel is met first; in the second, the staircase starting at x=3 is
+    # met before the hook starting at x=6, and neither contains (0, 0).
+    lone = pixel_map(6, 6, [(0, 0), (2, 0), (3, 1), (2, 2), (1, 3), (0, 4)])
+    comps = _same_components(binarize(lone, 27.0))
+    assert [c.area for c in comps] == [1, 5]
+    stairs = [(3, 0), (2, 1), (1, 2), (0, 3)]
+    hook = [(6, y) for y in range(6)] + [(x, 6) for x in range(6)]
+    comps = _same_components(binarize(pixel_map(8, 8, hook + stairs), 27.0))
+    assert [c.scan_key() for c in comps] == [(0, 0), (0, 0)]
+    assert comps[0].pixels == frozenset(stairs)
+
+
+def test_find_components_partition_matches_scipy():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(6)
+    shapes = [(1, 1), (1, 40), (40, 1), (9, 13), (64, 48), (128, 160), (512, 640)]
+    for i, shape in enumerate(shapes * 4):
+        mask = rng.random(shape) < (0.1, 0.3, 0.52, 0.8)[i // len(shapes)]
+        labels, count = ndimage.label(mask, structure=np.ones((3, 3)))
+        comps = find_components(mask)
+        ours = np.zeros(shape, dtype=int)
+        for k, comp in enumerate(comps, 1):
+            ours[comp.ys, comp.xs] = k
+        assert len(comps) == count
+        assert np.array_equal(ours > 0, mask)
+        # Same partition: each label pairs with exactly one label of the other.
+        assert np.unique(ours[mask] * (count + 1) + labels[mask]).size == count
+
+
 def test_component_from_pixels_validates():
     with pytest.raises(ValueError):
         Component.from_pixels([], 4, 4)
+    with pytest.raises(ValueError, match="distinct"):
+        Component.from_pixels([(1, 1), (2, 1), (1, 1)], 4, 4)
 
 
 def test_sample_inside_single_pixel():
@@ -279,3 +348,50 @@ def test_cam_file_round_trip(tmp_path):
     back = read_activation_map(path)
     assert np.array_equal(back.values, amap.values)
     assert path.read_text().startswith("CAM v1\n64 64\n")
+
+
+def pinned_map(seed):
+    """A seeded 160x128 map: noise below the threshold, five elliptical
+    blobs that may merge, and sparse speckle that makes many one-pixel and
+    diagonal components."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 20.0, size=(128, 160))
+    ys, xs = np.mgrid[0:128, 0:160]
+    for _ in range(5):
+        cx, cy, ax, ay = rng.uniform((10, 10, 4, 4), (150, 118, 16, 12))
+        inside = ((xs - cx) / ax) ** 2 + ((ys - cy) / ay) ** 2 <= 1.0
+        values[inside] = rng.uniform(40.0, 255.0, size=int(inside.sum()))
+    values[rng.random((128, 160)) < 0.003] = 200.0
+    return Grid(160, 128, values, CAM_RANGE)
+
+
+def locate_cam_output(tmp_path, seed, count, threshold):
+    write_activation_map(pinned_map(seed), tmp_path / "m.cam")
+    out = tmp_path / "points.json"
+    argv = ["locate-cam", "--map", str(tmp_path / "m.cam"), "--count", str(count),
+            "--threshold", str(threshold), "--seed", str(seed), "--out", str(out)]
+    assert run(argv) == 0
+    return out.read_bytes()
+
+
+# Digests of the locate-cam JSON written before the components became label
+# arrays: (map seed, --count, --threshold, branch, sha256 of the output file).
+PINNED_LOCATE_CAM = [
+    (1, 64, 27, "exact", "d579e59d3ecd4a22ca7cf6f8e6cd79be488ccc82d0985a292f69b9e4f0d80961"),
+    (1, 5, 27, "largest", "9d2a17d8013168ae9af35808676f8f7e5764e7c31c0f770492ce64d482e616d9"),
+    (1, 94, 27, "split", "7ed3ecf1cc1831b2da41979613bd10e99a089ec3b67e91a6023e99f42215fecd"),
+    (1, 2000, 27, "split", "fb75cd47d47815c6aa3680dda5553c8534bb5e37625f49a074ffba9068498f54"),
+    (1, 4, 255, "empty-mask", "3f237331593995b8375bb16c0a4c62a1bdc1e82f5fd84b72307aedd96377e2aa"),
+    (2, 56, 27, "exact", "a36f8148a9a9932e2a7050424f6a54101ad1d3d9d9dabe126bed06539c2f0625"),
+    (2, 5, 27, "largest", "c38bf20023cd5df084a9c0121df5a2db0f23c2145ae62938aa0e522fbbeb6d20"),
+    (2, 86, 27, "split", "a1ef4de6294bc3455a0d4f0e860fd4e964683f2b661c274ce10686f1560460a3"),
+    (2, 2000, 27, "split", "bd3ec868059663427de49e7651b53b44ebd250762acb045b9e73566b9d621850"),
+    (2, 4, 255, "empty-mask", "26e2cdd42175f9486858bec6ae9cfe9d6d97843702ba2e4464df261984bcef84"),
+]
+
+
+@pytest.mark.parametrize("seed,count,threshold,branch,digest", PINNED_LOCATE_CAM)
+def test_locate_cam_output_is_pinned(tmp_path, seed, count, threshold, branch, digest):
+    output = locate_cam_output(tmp_path, seed, count, threshold)
+    assert json.loads(output)["branch"] == branch
+    assert hashlib.sha256(output).hexdigest() == digest

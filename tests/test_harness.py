@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
+from ircount import harness
 from ircount.camloc import binarize, find_components, locate_people
 from ircount.corpus import boxes_to_points
 from ircount.harness import (
@@ -25,6 +26,7 @@ from ircount.harness import (
     synth_scene,
 )
 from ircount.metrics import maed
+from ircount.postprocess import ThresholdCurve
 
 
 def test_ablate_full_fraction_is_whole_dataset(small_dataset):
@@ -193,7 +195,9 @@ def test_process_predictor_benches():
     assert stats.fps > 0
 
 
-def test_process_predictor_close_reaps_child_that_ignores_eof_and_sigterm():
+def test_process_predictor_close_reaps_child_that_ignores_eof_and_sigterm(monkeypatch):
+    monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.5)
+    monkeypatch.setattr(harness, "TERM_WAIT_S", 0.5)
     stubborn = (
         "import signal, sys, time\n"
         "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
@@ -269,3 +273,28 @@ def test_fraction_curve_validation():
         FractionCurve((0.0, 0.5), (0.1, 0.2))
     with pytest.raises(ValueError):
         FractionCurve((0.5,), (1.5,))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: FractionCurve((), ()), "fractions and accuracies must be equal-length and non-empty"),
+        (lambda: FractionCurve((0.5, 0.5), (0.1, 0.2)), "fractions must be strictly ascending"),
+        (lambda: FractionCurve((0.0, 0.5), (0.1, 0.2)), "fractions must lie in (0, 1]"),
+        (lambda: FractionCurve((0.5,), (1.5,)), "accuracies must lie in [0, 1]"),
+        (lambda: ThresholdCurve((0.1,), (), 0.1, 0.5), "thresholds and accuracies must be equal-length and non-empty"),
+        (lambda: ThresholdCurve((0.5, 0.5), (0.1, 0.2), 0.5, 0.2), "thresholds must be strictly ascending"),
+        (lambda: ThresholdCurve((-0.1, 0.5), (0.1, 0.2), 0.5, 0.2), "thresholds must lie in [0, 1]"),
+        (lambda: ThresholdCurve((0.5,), (1.5,), 0.5, 1.5), "accuracies must lie in [0, 1]"),
+    ],
+)
+def test_curve_validation_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_threshold_curve_may_start_at_zero_where_fraction_curve_may_not():
+    assert ThresholdCurve((0.0, 1.0), (0.5, 0.25), 0.0, 0.5).thresholds == (0.0, 1.0)
+    with pytest.raises(ValueError):
+        FractionCurve((0.0, 1.0), (0.5, 0.25))

@@ -147,6 +147,30 @@ def test_normalize_unit_constant_is_zeros():
     assert np.array_equal(normalize_unit(f).values, np.zeros((2, 3)))
 
 
+def test_normalize_unit_range_wider_than_float_max():
+    out = normalize_unit(Grid(2, 1, [-1.7e308, 1.7e308]))
+    assert out.values.ravel().tolist() == [0.0, 1.0]
+    out = normalize_unit(Grid(3, 1, [-1.7e308, 0.0, 1.7e308]))
+    assert out.values.ravel().tolist() == [0.0, 0.5, 1.0]
+
+
+@given(
+    arrays(
+        np.float64,
+        st.integers(2, 24),
+        elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-1.7e308, 1.7e308])),
+    )
+)
+@settings(max_examples=60)
+def test_normalize_unit_spans_the_float_range(values):
+    out = normalize_unit(frame_of(values, width=values.size)).values.ravel()
+    if values.min() == values.max():
+        assert not out.any()
+    else:
+        assert out.min() == 0.0 and out.max() == 1.0
+        assert np.all(np.diff(out[np.argsort(values, kind="stable")]) >= 0)
+
+
 @given(finite_frames)
 @settings(max_examples=40)
 def test_normalize_unit_hits_bounds_for_nonconstant(values):
