@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ircount.assignment import Point, match_points
+from ircount.assignment import Point, check_penalty, match_points
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ class MaedConfig:
     denominator: str = "max_card"
 
     def __post_init__(self) -> None:
-        if not self.penalty > 0.0:
-            raise ValueError(f"penalty must be positive, got {self.penalty}")
+        check_penalty(self.penalty)
         if self.denominator not in ("max_card", "gt_card"):
             raise ValueError(f"denominator must be 'max_card' or 'gt_card', got {self.denominator!r}")
 
@@ -106,6 +105,7 @@ def maed(
     Each image contributes the sum of its matched pair distances (squared
     when ``cfg.squared``) plus one penalty per unmatched point, divided by
     the image normalizer. Images empty on both sides contribute zero.
+    A penalty so large that the score overflows float64 is a ValueError.
     """
     if len(gt_sets) != len(pred_sets):
         raise ValueError(
@@ -125,7 +125,10 @@ def maed(
         contrib += cfg.penalty * (result.unmatched_gt + result.unmatched_pred)
         denom = max(n, m) if cfg.denominator == "max_card" else n
         total += contrib / max(denom, 1)
-    return total / len(gt_sets)
+    score = total / len(gt_sets)
+    if not math.isfinite(score):
+        raise ValueError(f"localization score overflows float64 with penalty {cfg.penalty}")
+    return score
 
 
 def round_half_away(value: float) -> int:

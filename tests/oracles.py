@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from ircount.assignment import MatchResult, _distance_matrix
+from ircount.assignment import MatchResult
 from ircount.camloc import Component
 from ircount.corpus import aligned_records, annotation_to_count
 from ircount.metrics import CountPair, count_metrics
@@ -33,12 +33,74 @@ def accuracy_at_threshold(pred, gt, conf, nms_iou=0.7):
     return count_metrics(pairs).accuracy
 
 
+def _xy(point):
+    return (point.cx, point.cy) if hasattr(point, "cx") else (point[0], point[1])
+
+
+def reference_hungarian(costs):
+    """The pure-Python O(n^3) Hungarian method that the array solver replaced.
+
+    Shortest-augmenting-path method with row/column potentials. Columns are
+    scanned in ascending order and strict comparisons keep the first
+    minimum, so equal-cost instances resolve deterministically. Takes a
+    ``CostMatrix``; returns (row, col) pairs sorted by row.
+    """
+    if costs.rows != costs.cols:
+        raise ValueError(f"square matrix required, got {costs.rows} x {costs.cols}")
+    n = costs.rows
+    if n == 0:
+        return []
+    flat = costs.costs.ravel().tolist()
+    inf = math.inf
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    match_col = [0] * (n + 1)  # match_col[j] = 1-based row matched to column j
+    parent = [0] * (n + 1)
+
+    for row in range(1, n + 1):
+        match_col[0] = row
+        j0 = 0
+        min_slack = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match_col[j0]
+            delta = inf
+            j1 = 0
+            base = (i0 - 1) * n
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = flat[base + j - 1] - u[i0] - v[j]
+                if cur < min_slack[j]:
+                    min_slack[j] = cur
+                    parent[j] = j0
+                if min_slack[j] < delta:
+                    delta = min_slack[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match_col[j]] += delta
+                    v[j] -= delta
+                else:
+                    min_slack[j] -= delta
+            j0 = j1
+            if match_col[j0] == 0:
+                break
+        while j0:
+            j1 = parent[j0]
+            match_col[j0] = match_col[j1]
+            j0 = j1
+    return sorted((match_col[j] - 1, j - 1) for j in range(1, n + 1))
+
+
 def brute_force_match(gt, pred, penalty=1.0):
     """Exhaustive reference matcher for small instances (max side <= 8).
 
     Enumerates every injective matching of the smaller side into the
     larger and minimizes pair distances plus penalties for the leftovers.
-    Ties keep the first matching in enumeration order.
+    Ties keep the first matching in enumeration order. Distances are
+    computed here with ``math.hypot``, independently of ``ircount``.
     """
     if not penalty > 0.0:
         raise ValueError(f"penalty must be positive, got {penalty}")
@@ -47,7 +109,9 @@ def brute_force_match(gt, pred, penalty=1.0):
         raise ValueError(f"instance too large for brute force: {n} x {m} (max side 8)")
     if n == 0 and m == 0:
         return MatchResult((), 0, 0)
-    dist = _distance_matrix(gt, pred)
+    gt_xy = [_xy(g) for g in gt]
+    pred_xy = [_xy(p) for p in pred]
+    dist = [[math.hypot(gx - px, gy - py) for px, py in pred_xy] for gx, gy in gt_xy]
 
     best_perm = None
     best_total = math.inf

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, formats."""
 
+import hashlib
 import json
 import os
 import random
@@ -437,3 +438,80 @@ def test_emit_plot_fraction_curve_marks_best(tmp_path):
     emit_plot(curve, tmp_path / "f.svg")
     svg = (tmp_path / "f.svg").read_text()
     assert "best 0.500 @ 0.9000" in svg
+
+
+def write_locate_instance(tmp_path, seed, images, max_points, spread):
+    """Seeded gt/pred point manifests: each gt point is found with probability
+    0.9 at a jittered spot (clamped into [0, 1], so 0.0 and 1.0 occur), and
+    up to a tenth of the gt size in extra predictions is added."""
+    rng = random.Random(seed)
+    gt_records, pred_records = [], []
+    for i in range(images):
+        n = rng.randint(0, max_points)
+        gt = [(rng.random(), rng.random()) for _ in range(n)]
+        pred = [
+            (min(1.0, max(0.0, x + rng.gauss(0.0, spread))), min(1.0, max(0.0, y + rng.gauss(0.0, spread))))
+            for x, y in gt
+            if rng.random() < 0.9
+        ]
+        pred += [(rng.random(), rng.random()) for _ in range(rng.randint(0, n // 10 + 1))]
+        rng.shuffle(pred)
+        gt_records.append(ImageRecord(f"img{i}", 64, 64, points=tuple(corpus.PointAnnotation(x, y) for x, y in gt)))
+        pred_records.append(ImageRecord(f"img{i}", 64, 64, points=tuple(corpus.PointAnnotation(x, y) for x, y in pred)))
+    save_manifest(Dataset("gt", tuple(gt_records)), tmp_path / "gt.json")
+    save_manifest(Dataset("pred", tuple(pred_records)), tmp_path / "pred.json")
+
+
+def eval_locate_output(tmp_path, case, denominator, squared):
+    seed, images, max_points, spread, penalty = case
+    write_locate_instance(tmp_path, seed, images, max_points, spread)
+    out = tmp_path / "maed.json"
+    argv = ["eval-locate", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json"),
+            "--penalty", repr(penalty), "--denominator", denominator, "--out", str(out)]
+    if not squared:
+        argv.append("--no-squared")
+    assert run(argv) == 0
+    return out.read_bytes()
+
+
+# Digests of the eval-locate JSON written by the pure-Python assignment solver
+# that the array solver replaced: ((seed, images, max points, jitter, penalty),
+# denominator, squared, sha256 of the output file).
+LOCATE_CASES = {
+    "crowd": (1, 8, 120, 0.01, 1.0),
+    "small": (2, 60, 14, 0.02, 1.0),
+    "wide-jitter": (3, 6, 80, 0.05, 0.01),
+}
+PINNED_EVAL_LOCATE = [
+    ("crowd", "max_card", True, "565d6287499e40eaadcb883dad25d4315922413bf15067a287ba69f0357bf496"),
+    ("crowd", "max_card", False, "f3ded87e9b2fbf324c6cf766f0e3813394db7bb8722fcd25524bebc5db45ce5c"),
+    ("crowd", "gt_card", True, "97544fb43e301deb949e2bdbb15503f2c50f3852912ae0426bbe9ff4089c288a"),
+    ("crowd", "gt_card", False, "793aa918d5255dbd2c6b8f84077f9e2bf602913b43df19e6e5ed240970ce1c77"),
+    ("small", "max_card", True, "127d21f8540401171344097c7116d6cc6ced500d423c15cd7cccf243999b09ae"),
+    ("small", "max_card", False, "0ddac0bde94e9ae8e07e7e79d7f9872970d70eb4d84a4a87fcb5101b3d807f16"),
+    ("small", "gt_card", True, "7b43813adc218c7094ef2320a016d4e477f808beb550bcae49f60fdeb53af9d1"),
+    ("small", "gt_card", False, "3d8163efb2ee39d57a70f4fb763c9be544f637cebc9e4a9c42bb99ce30bb3568"),
+    ("wide-jitter", "max_card", True, "178cc7d30ee25e48db019a00d8eee8ba3479bae903d4a591791563f0e0dedd09"),
+    ("wide-jitter", "max_card", False, "971438948dbc2940e58adbdd1ae0cce6f21ac54e43289321724b59867e866424"),
+    ("wide-jitter", "gt_card", True, "b4bcf01b00cd728757dc38e6189eef88a6be543c7a1c5b745f605efb313b7812"),
+    ("wide-jitter", "gt_card", False, "b71bc03df4d3beaee743521b2caed43c3e7b3510cd8e79b665c6dec75f64309b"),
+]
+
+
+@pytest.mark.parametrize("case,denominator,squared,digest", PINNED_EVAL_LOCATE)
+def test_eval_locate_output_is_pinned(tmp_path, case, denominator, squared, digest):
+    output = eval_locate_output(tmp_path, LOCATE_CASES[case], denominator, squared)
+    assert hashlib.sha256(output).hexdigest() == digest
+
+
+@pytest.mark.parametrize("penalty", ["1e308", "inf"])
+def test_eval_locate_rejects_non_finite_penalty(tmp_path, capsys, penalty):
+    # Three unmatched points cost 3e308, which overflows to inf.
+    gt = ImageRecord("a", 64, 64, points=tuple(corpus.PointAnnotation(0.1 * k, 0.5) for k in range(1, 4)))
+    save_manifest(Dataset("gt", (gt,)), tmp_path / "gt.json")
+    save_manifest(Dataset("pred", (ImageRecord("a", 64, 64, points=()),)), tmp_path / "pred.json")
+    argv = ["eval-locate", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json"),
+            "--penalty", penalty, "--out", str(tmp_path / "maed.json")]
+    assert run(argv) == 1
+    assert "penalty" in capsys.readouterr().err
+    assert not (tmp_path / "maed.json").exists()

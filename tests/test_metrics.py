@@ -231,3 +231,16 @@ def test_maed_config_validation():
         MaedConfig(penalty=0.0)
     with pytest.raises(ValueError):
         MaedConfig(denominator="mean")
+
+
+@pytest.mark.parametrize("penalty", [math.inf, -math.inf, math.nan, -1.0])
+def test_maed_config_rejects_non_finite_penalty(penalty):
+    with pytest.raises(ValueError, match="penalty must be positive and finite"):
+        MaedConfig(penalty=penalty)
+
+
+def test_maed_raises_when_the_score_overflows():
+    cfg = MaedConfig(penalty=1e308)
+    assert maed([[(0.5, 0.5)]], [[]], cfg) == 1e308
+    with pytest.raises(ValueError, match="penalty 1e\\+308"):
+        maed([[(0.1, 0.1), (0.2, 0.2)]], [[]], cfg)
