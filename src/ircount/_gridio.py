@@ -104,4 +104,4 @@ def write_grid(path: str | Path, tag: str, values: np.ndarray) -> None:
     height, width = values.shape
     rows = [f"{tag} v1", f"{width} {height}"]
     rows.extend(" ".join(map(repr, row.tolist())) for row in values)
-    write_text_atomic(path, "\n".join(rows) + "\n", encoding="ascii")
+    write_text_atomic(path, "\n".join(rows) + "\n")

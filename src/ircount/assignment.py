@@ -1,8 +1,8 @@
 """Optimal point matching between ground-truth and predicted locations.
 
-Unequal set sizes are handled by padding the cost matrix to square with a
-fixed penalty, so every unmatched point contributes exactly one penalty
-term to the objective.
+Every point of the smaller set is paired with a distinct point of the larger
+one at the least total distance. Unmatched points are only counted here;
+what they cost is up to the scorer (``matching_objective``, ``metrics.maed``).
 """
 
 from __future__ import annotations
@@ -157,12 +157,6 @@ def _distance_matrix(gt: Sequence[Point], pred: Sequence[Point]) -> np.ndarray:
     return dist.reshape(len(g), len(p))
 
 
-def check_penalty(penalty: float) -> None:
-    """Reject an unmatched-point penalty that is not positive and finite."""
-    if not (penalty > 0.0 and math.isfinite(penalty)):
-        raise ValueError(f"penalty must be positive and finite, got {penalty}")
-
-
 def matching_objective(result: MatchResult, penalty: float) -> float:
     """Total cost of a matching: pair distances plus one penalty per unmatched point.
 
@@ -176,20 +170,21 @@ def matching_objective(result: MatchResult, penalty: float) -> float:
     return total
 
 
-def match_points(gt: Sequence[Point], pred: Sequence[Point], penalty: float = 1.0) -> MatchResult:
-    """Optimal pairing of two point sets under a fixed unmatched penalty.
+def match_points(gt: Sequence[Point], pred: Sequence[Point]) -> MatchResult:
+    """Pair every point of the smaller set with a distinct point of the
+    larger one at the least total Euclidean distance.
 
-    Builds the max(n, m)-square matrix whose real entries are Euclidean
-    distances and whose padding entries all cost ``penalty``, then solves
-    it exactly. Assignments involving padding become unmatched counts.
+    The distance matrix is padded to a max(n, m) square with its largest
+    entry and solved exactly. Every perfect assignment of that square uses
+    exactly |n - m| padding entries, so the padding value never changes
+    which pairs win. Assignments to padding become unmatched counts.
     """
-    check_penalty(penalty)
     n, m = len(gt), len(pred)
     size = max(n, m)
     if size == 0:
         return MatchResult((), 0, 0)
     dist = _distance_matrix(gt, pred)
-    grid = np.full((size, size), penalty)
+    grid = np.full((size, size), dist.max(initial=0.0))
     grid[:n, :m] = dist
     assignment = hungarian(CostMatrix(size, size, grid))
     pairs = tuple((i, j, float(dist[i, j])) for i, j in assignment[:n] if j < m)

@@ -229,7 +229,7 @@ def locate_people(
         return LocateResult(tuple(_centroid_point(c) for c in comps), "exact")
 
     if num_instances < len(comps):
-        by_area = sorted(comps, key=lambda c: (-c.area, c.scan_key()))
+        by_area = sorted(comps, key=lambda c: -c.area)
         points = tuple(_centroid_point(c) for c in by_area[:num_instances])
         return LocateResult(points, "largest")
 

@@ -145,11 +145,11 @@ def _load_json(path: str) -> object:
         raise ValueError(f"cannot parse {path}: {exc}") from None
 
 
-def _points_of(rec: ImageRecord) -> list[corpus.PointAnnotation]:
+def _points_of(rec: ImageRecord) -> Sequence[corpus.PointAnnotation | corpus.BoundingBox]:
     if rec.points is not None:
-        return list(rec.points)
+        return rec.points
     if rec.boxes is not None:
-        return corpus.boxes_to_points(rec.boxes)
+        return rec.boxes
     raise ValueError(f"record {rec.id!r} carries no localizable tier (points or boxes)")
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ircount.assignment import Point, check_penalty, match_points
+from ircount.assignment import Point, match_points
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ class MaedConfig:
     denominator: str = "max_card"
 
     def __post_init__(self) -> None:
-        check_penalty(self.penalty)
+        if not (self.penalty > 0.0 and math.isfinite(self.penalty)):
+            raise ValueError(f"penalty must be positive and finite, got {self.penalty}")
         if self.denominator not in ("max_card", "gt_card"):
             raise ValueError(f"denominator must be 'max_card' or 'gt_card', got {self.denominator!r}")
 
@@ -118,7 +119,7 @@ def maed(
         n, m = len(gt), len(pred)
         if n == 0 and m == 0:
             continue
-        result = match_points(gt, pred, cfg.penalty)
+        result = match_points(gt, pred)
         contrib = 0.0
         for _, _, d in result.pairs:
             contrib += d * d if cfg.squared else d

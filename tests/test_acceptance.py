@@ -51,7 +51,7 @@ def test_c01_matching_agrees_with_brute_force_bit_exactly():
         n, m = rng.randint(0, 7), rng.randint(0, 7)
         gt = [(rng.random(), rng.random()) for _ in range(n)]
         pred = [(rng.random(), rng.random()) for _ in range(m)]
-        fast = matching_objective(match_points(gt, pred, 1.0), 1.0)
+        fast = matching_objective(match_points(gt, pred), 1.0)
         slow = matching_objective(brute_force_match(gt, pred, 1.0), 1.0)
         if fast != slow:
             mismatches += 1

@@ -140,11 +140,6 @@ def test_match_points_both_empty():
     assert match_points([], []) == MatchResult((), 0, 0)
 
 
-def test_match_points_rejects_bad_penalty():
-    with pytest.raises(ValueError, match="penalty"):
-        match_points([(0.1, 0.1)], [(0.2, 0.2)], penalty=0.0)
-
-
 def test_match_points_rejects_unnormalized_coordinates():
     with pytest.raises(ValueError, match="normalized"):
         match_points([(1.2, 0.1)], [(0.2, 0.2)])
@@ -174,7 +169,7 @@ def test_match_points_symmetric_under_swap(gt, pred):
 @given(point_lists, point_lists, st.floats(0.1, 3.0, allow_nan=False))
 @settings(max_examples=120)
 def test_match_points_agrees_with_brute_force(gt, pred, penalty):
-    fast = match_points(gt, pred, penalty)
+    fast = match_points(gt, pred)
     slow = brute_force_match(gt, pred, penalty)
     assert matching_objective(fast, penalty) == pytest.approx(
         matching_objective(slow, penalty), abs=1e-12
@@ -259,12 +254,6 @@ def test_match_points_distances_are_math_hypot_bit_for_bit():
             assert d.hex() == math.hypot(gx - px, gy - py).hex()
             checked += 1
     assert checked > 1500
-
-
-def test_match_points_rejects_non_finite_penalty():
-    for penalty in (math.inf, math.nan, -1.0):
-        with pytest.raises(ValueError, match="penalty must be positive and finite"):
-            match_points([(0.1, 0.1)], [(0.2, 0.2)], penalty=penalty)
 
 
 def test_match_points_names_the_first_unnormalized_point():

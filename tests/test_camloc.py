@@ -292,6 +292,21 @@ def test_locate_people_largest_branch_picks_biggest_areas():
     assert got == sorted(big)
 
 
+def test_locate_people_largest_branch_breaks_area_ties_by_scan_order():
+    # snake and bar both cover 11 pixels. A raster scan meets bar first, at
+    # (2, 1), but snake reaches x = 0 on a later row, so (min y, min x)
+    # puts snake first; the lone pixel is never chosen.
+    snake = [(9, 1), (9, 2), (8, 3), (7, 4), (6, 5), (5, 6), (4, 7), (3, 8), (2, 9), (1, 10), (0, 11)]
+    bar = [(x, y) for x in range(2, 7) for y in (1, 2)] + [(2, 3)]
+    block = square(12, 12, side=4)
+    amap = pixel_map(20, 20, snake + bar + block + [(18, 18)])
+    for count, chosen in ((2, [block, snake]), (3, [block, snake, bar])):
+        result = locate_people(amap, 27.0, count, seed=0)
+        assert result.branch == "largest"
+        got = [(p.cx, p.cy) for p in result.points]
+        assert got == [Component.from_pixels(c, 20, 20).centroid for c in chosen]
+
+
 def test_locate_people_split_branch_membership_and_count():
     amap = render_blobs(64, 64, [(32, 32)], 4.0)
     result = locate_people(amap, 27.0, 3, seed=9)

@@ -1,12 +1,13 @@
 """Count metrics, per-class breakdown, localization score, decision rules."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ircount.assignment import matching_objective
+from ircount.assignment import match_points, matching_objective
 from ircount.metrics import (
     CountPair,
     MaedConfig,
@@ -133,6 +134,26 @@ def test_maed_gt_card_denominator():
     assert value == pytest.approx(1.0 / 2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("squared", [True, False])
+@pytest.mark.parametrize("penalty", [1e15, 1e16], ids=["1e15", "1e16"])
+def test_maed_and_pairs_equal_brute_force_at_large_penalties(penalty, squared):
+    # A penalty this large once swamped the distances inside the matcher and
+    # gave non-optimal pairs; it must now only enter the score.
+    cfg = MaedConfig(penalty, squared)
+    rng = random.Random(808)
+    for _ in range(1000):
+        gt = [(rng.random(), rng.random()) for _ in range(rng.randint(0, 6))]
+        pred = [(rng.random(), rng.random()) for _ in range(rng.randint(0, 6))]
+        slow = brute_force_match(gt, pred, penalty)
+        assert set(match_points(gt, pred).pairs) == set(slow.pairs)
+        contrib = 0.0
+        for _, _, d in slow.pairs:
+            contrib += d * d if squared else d
+        contrib += penalty * (slow.unmatched_gt + slow.unmatched_pred)
+        want = contrib / max(len(gt), len(pred)) if gt or pred else 0.0
+        assert maed([gt], [pred], cfg).hex() == want.hex()
+
+
 def test_maed_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         maed([[(0.1, 0.1)]], [])
@@ -233,7 +254,7 @@ def test_maed_config_validation():
         MaedConfig(denominator="mean")
 
 
-@pytest.mark.parametrize("penalty", [math.inf, -math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("penalty", [0.0, math.inf, -math.inf, math.nan, -1.0])
 def test_maed_config_rejects_non_finite_penalty(penalty):
     with pytest.raises(ValueError, match="penalty must be positive and finite"):
         MaedConfig(penalty=penalty)

@@ -1,12 +1,20 @@
 """The benchmark's tracer wraps toolkit functions by module attribute.
 
-A rename in ``src/`` that removes one of those attributes would only show
-up in the next traced benchmark run; this test makes it fail here.
+A rename in ``src/`` that removes one of those attributes, or a signature
+change that breaks a counter hook, would only show up in the next traced
+benchmark run; these tests make it fail here.
 """
 
 import importlib
+import time
 import types
 from pathlib import Path
+
+import numpy as np
+
+from conftest import make_dataset
+from ircount import Grid, corpus, preprocess
+from ircount.cli import run
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +44,44 @@ def test_every_tracer_site_resolves_and_is_restored():
         restore()
     for (module, attr), original in zip(sites, originals):
         assert getattr(module, attr) is original, f"{module.__name__}.{attr} not restored"
+
+
+def test_traced_commands_fill_every_hook_counter(tmp_path):
+    corpus.save_manifest(make_dataset(6), tmp_path / "counts.json")
+    preprocess.write_frame(Grid(8, 8, np.arange(1.0, 65.0)), tmp_path / "in.frame")
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    out.mkdir()
+    gt = str(scene / "scene.json")
+    commands = [
+        ["synth", "--n", "3", "--seed", "5", "--out", str(scene)],
+        ["convert", "--in", gt, "--to", "points", "--out", str(out / "points.json")],
+        ["eval-locate", "--gt", gt, "--pred", str(out / "points.json"), "--out", str(out / "maed.json")],
+        ["tune-threshold", "--gt", gt, "--pred", gt, "--grid-step", "0.1", "--out", str(out / "curve.json")],
+        ["locate-cam", "--map", str(scene / "map.cam"), "--count", "2", "--seed", "0", "--out", str(out / "cam.json")],
+        ["split", "--manifest", str(tmp_path / "counts.json"), "--train-count", "4", "--seed", "1",
+         "--out-train", str(out / "train.json"), "--out-test", str(out / "test.json")],
+        ["winsorize", str(tmp_path / "in.frame"), str(out / "out.frame")],
+    ]
+    tracer = load_tracer().Tracer()
+    restore = tracer.install()
+    try:
+        start = time.perf_counter()
+        codes = [run(argv) for argv in commands]
+        wall = time.perf_counter() - start
+    finally:
+        restore()
+    assert codes == [0] * len(commands)
+    summary = tracer.summary()
+    counters = summary["counters"]
+    hooked = {
+        "corpus.load_manifest.records", "corpus.load_manifest.bytes", "corpus.save_manifest.records",
+        "fsutil.write_text_atomic.bytes", "assignment.match_points.calls", "assignment.hungarian.pad_cells",
+        "assignment.hungarian.cells", "postprocess.nms.boxes_in", "postprocess.nms.pairs",
+        "postprocess.nms.kept", "camloc.find_components.fg_pixels", "camloc.find_components.components",
+        "camloc.locate_people.calls", "camloc.locate_people.split_calls", "gridio.read_grid.values",
+    }
+    assert hooked <= counters.keys()
+    for name in ("assignment.match_points.calls", "assignment.hungarian.cells", "postprocess.nms.boxes_in",
+                 "camloc.find_components.components", "gridio.read_grid.values", "corpus.load_manifest.records"):
+        assert counters[name] > 0, name
+    assert 0.0 < summary["top_s"] <= wall
