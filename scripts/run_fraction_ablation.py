@@ -70,7 +70,7 @@ def main() -> None:
     }
     curves = {}
     for name, cfg in learners.items():
-        rng = random.Random(args.seed + hash(name) % 1000)
+        rng = random.Random(f"{args.seed}-{name}")  # str seeds hash stably, unlike hash()
         accs = [
             evaluate(simulated_learner(len(subset), cfg["efficiency"], cfg["ceiling"], rng), test)
             for subset in subsets

@@ -59,10 +59,6 @@ class Component:
     def pixels(self) -> frozenset[tuple[int, int]]:
         return frozenset(zip(self.xs.tolist(), self.ys.tolist()))
 
-    def scan_key(self) -> tuple[int, int]:
-        """Deterministic ordering key: (min y, min x) over member pixels."""
-        return (int(self.ys.min()), int(self.xs[0]))
-
 
 @dataclass(frozen=True)
 class LocateResult:

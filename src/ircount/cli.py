@@ -65,6 +65,8 @@ def _svg_line_chart(
     xlabel: str,
     title: str,
 ) -> str:
+    # The replacements of xml.sax.saxutils.escape, whose import would load urllib and http.client.
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     left, right, top, bottom = 60.0, 620.0, 30.0, 355.0
     xmin, xmax = min(xs), max(xs)
     if xmax == xmin:
@@ -244,8 +246,8 @@ def _cmd_tune_threshold(args: argparse.Namespace) -> None:
 
 
 def _cmd_locate_cam(args: argparse.Namespace) -> None:
-    if args.map_scale <= 0:
-        raise ValueError(f"--map-scale must be positive, got {args.map_scale}")
+    if not 0.0 < args.map_scale < math.inf:
+        raise ValueError(f"--map-scale must be positive and finite, got {args.map_scale}")
     if args.map_scale == 255.0:
         amap = camloc.read_activation_map(args.map)
     else:
@@ -301,6 +303,10 @@ def _cmd_ablate(args: argparse.Namespace) -> None:
     fractions = _parse_fractions(args.fractions)
     seed = _resolve_seed(args.seed)
     subsets = harness.ablate_fractions(ds, fractions, seed)
+    # The fractions ascend and {:g} rounds monotonically, so equal names are neighbours.
+    clash = next(((a, b) for a, b in zip(fractions, fractions[1:]) if f"{a:g}" == f"{b:g}"), None)
+    if clash:
+        raise ValueError(f"--fractions {clash[0]!r} and {clash[1]!r} would both write subset_{clash[0]:g}.json")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     listing = []

@@ -8,6 +8,7 @@ subset of the tiers; converters derive weaker tiers from stronger ones.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,9 +21,9 @@ class ManifestError(ValueError):
     """A manifest failed to parse or one of its records is invalid."""
 
 
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+def _check_dims(width: object, height: object) -> None:
+    if not (type(width) is int and type(height) is int and width >= 1 and height >= 1):
+        raise ValueError(f"width and height must be positive integers, got {width!r} x {height!r}")
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,11 @@ class BoundingBox:
     score: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_unit("cx", self.cx)
-        _check_unit("cy", self.cy)
-        _check_unit("score", self.score)
-        if not (0.0 < self.w <= 1.0 and 0.0 < self.h <= 1.0):
-            raise ValueError(f"box size must be in (0, 1], got {self.w!r} x {self.h!r}")
+        cx, cy, w, h, score = self.cx, self.cy, self.w, self.h, self.score
+        if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0 and 0.0 < w <= 1.0 and 0.0 < h <= 1.0 and 0.0 <= score <= 1.0):
+            raise ValueError(f"box needs cx, cy, score in [0, 1] and w, h in (0, 1], got {self!r}")
+        if type(cx) is bool or type(cy) is bool or type(w) is bool or type(h) is bool or type(score) is bool:
+            raise ValueError(f"box values must be numbers, not booleans, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,10 @@ class PointAnnotation:
     score: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_unit("cx", self.cx)
-        _check_unit("cy", self.cy)
-        _check_unit("score", self.score)
+        if not (0.0 <= self.cx <= 1.0 and 0.0 <= self.cy <= 1.0 and 0.0 <= self.score <= 1.0):
+            raise ValueError(f"point needs cx, cy, score in [0, 1], got {self!r}")
+        if type(self.cx) is bool or type(self.cy) is bool or type(self.score) is bool:
+            raise ValueError(f"point values must be numbers, not booleans, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -95,20 +97,16 @@ class ImageRecord:
             object.__setattr__(self, "boxes", tuple(self.boxes))
         if self.points is not None:
             object.__setattr__(self, "points", tuple(self.points))
-        if not self.id:
-            raise ValueError("record id must be a non-empty string")
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"record {self.id!r}: dimensions must be positive")
+        if type(self.id) is not str or not self.id:
+            raise ValueError(f"record id must be a non-empty string, got {self.id!r}")
+        _check_dims(self.width, self.height)
+        if self.frame_path is not None and type(self.frame_path) is not str:
+            raise ValueError(f"frame_path must be a string or None, got {self.frame_path!r}")
         if self.boxes is None and self.points is None and self.count is None:
             raise ValueError(f"record {self.id!r}: no annotation tier present")
-        if self.count is not None and self.boxes is not None and self.count.count != len(self.boxes):
-            raise ValueError(
-                f"record {self.id!r}: count {self.count.count} != {len(self.boxes)} boxes"
-            )
-        if self.count is not None and self.points is not None and self.count.count != len(self.points):
-            raise ValueError(
-                f"record {self.id!r}: count {self.count.count} != {len(self.points)} points"
-            )
+        for kind, tier in (("boxes", self.boxes), ("points", self.points)):
+            if self.count is not None and tier is not None and self.count.count != len(tier):
+                raise ValueError(f"record {self.id!r}: count {self.count.count} != {len(tier)} {kind}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +117,8 @@ class Dataset:
     records: tuple[ImageRecord, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"dataset name must be a non-empty string, got {self.name!r}")
         object.__setattr__(self, "records", tuple(self.records))
         seen: set[str] = set()
         for rec in self.records:
@@ -210,12 +210,8 @@ def _parse_entry(
 
 
 def _parse_record(raw: dict, pixel: bool, max_count: int) -> ImageRecord:
-    rec_id = raw.get("id")
-    if not isinstance(rec_id, str) or not rec_id:
-        raise ValueError(f"missing or invalid id: {raw.get('id')!r}")
     width, height = raw.get("width"), raw.get("height")
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in (width, height)):
-        raise ValueError(f"width and height must be positive integers, got {width!r} x {height!r}")
+    _check_dims(width, height)  # pixel entries divide by them
     boxes = points = count = None
     if "boxes" in raw:
         boxes = tuple(_parse_entry(b, "box", BoundingBox, width, height, pixel) for b in raw["boxes"])
@@ -225,10 +221,7 @@ def _parse_record(raw: dict, pixel: bool, max_count: int) -> ImageRecord:
         count = CountLabel(raw["count"])
         if count.count > max_count:
             raise ValueError(f"count {count.count} exceeds max_count {max_count}")
-    frame_path = raw.get("frame_path")
-    if frame_path is not None and not isinstance(frame_path, str):
-        raise ValueError(f"frame_path must be a string, got {frame_path!r}")
-    return ImageRecord(rec_id, width, height, boxes, points, count, frame_path)
+    return ImageRecord(raw.get("id"), width, height, boxes, points, count, raw.get("frame_path"))
 
 
 def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
@@ -245,9 +238,6 @@ def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
         raise ManifestError(f"cannot parse manifest {path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
         raise ManifestError(f"{path}: manifest must be an object with a 'records' list")
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        raise ManifestError(f"{path}: manifest 'name' must be a non-empty string")
     coords = doc.get("coords", "normalized")
     if coords not in ("normalized", "pixel"):
         raise ManifestError(f"{path}: coords must be 'normalized' or 'pixel', got {coords!r}")
@@ -272,15 +262,22 @@ def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
         raise ManifestError(
             f"{path}: {len(errors)} invalid record(s)\n" + "\n".join(errors)
         )
-    return Dataset(name, tuple(records))
+    try:
+        return Dataset(doc.get("name"), tuple(records))
+    except ValueError as exc:
+        raise ManifestError(f"{path}: {exc}") from exc
+
+
+_BOX_ENTRY = operator.attrgetter(*BoundingBox.__match_args__)
+_POINT_ENTRY = operator.attrgetter(*PointAnnotation.__match_args__)
 
 
 def _record_to_dict(rec: ImageRecord) -> dict:
     out: dict = {"id": rec.id, "width": rec.width, "height": rec.height}
     if rec.boxes is not None:
-        out["boxes"] = [[b.cx, b.cy, b.w, b.h, b.score] for b in rec.boxes]
+        out["boxes"] = list(map(_BOX_ENTRY, rec.boxes))
     if rec.points is not None:
-        out["points"] = [[p.cx, p.cy, p.score] for p in rec.points]
+        out["points"] = list(map(_POINT_ENTRY, rec.points))
     if rec.count is not None:
         out["count"] = rec.count.count
     if rec.frame_path is not None:

@@ -234,8 +234,8 @@ def render_blobs(
     grid = np.zeros((height, width), dtype=np.float64)
     ys, xs = np.mgrid[0:height, 0:width]
     for (cx, cy), sigma in zip(centers_px, sigmas):
-        if sigma <= 0:
-            raise ValueError(f"blob sigma must be positive, got {sigma}")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"blob sigma must be positive and finite, got {sigma}")
         blob = peak * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
         np.maximum(grid, blob, out=grid)
     return Grid(width, height, grid, CAM_RANGE)
@@ -259,10 +259,10 @@ def synth_scene(
     """
     if n_people < 0:
         raise ValueError(f"n_people must be >= 0, got {n_people}")
-    if min_sep <= 0:
-        raise ValueError(f"min_sep must be positive, got {min_sep}")
-    if blob_sigma <= 0:
-        raise ValueError(f"blob_sigma must be positive, got {blob_sigma}")
+    if not 0.0 < min_sep < math.inf:
+        raise ValueError(f"min_sep must be positive and finite, got {min_sep}")
+    if not 0.0 < blob_sigma < math.inf:
+        raise ValueError(f"blob_sigma must be positive and finite, got {blob_sigma}")
     margin = max(1, math.ceil(2 * blob_sigma))
     if n_people and (width - 1 - margin < margin or height - 1 - margin < margin):
         raise ValueError(

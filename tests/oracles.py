@@ -144,6 +144,11 @@ def brute_force_match(gt, pred, penalty=1.0):
 _NEIGHBORS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
 
 
+def scan_key(comp):
+    """The order ``find_components`` promises: (min y, min x) over member pixels."""
+    return (int(comp.ys.min()), int(comp.xs.min()))
+
+
 def flood_fill_components(mask):
     """8-connected components of a boolean mask, ordered by (min y, min x).
 
@@ -171,7 +176,7 @@ def flood_fill_components(mask):
                         seen[ny, nx] = True
                         stack.append((nx, ny))
             comps.append(Component.from_pixels(pixels, width, height))
-    comps.sort(key=Component.scan_key)
+    comps.sort(key=scan_key)
     return comps
 
 

@@ -26,7 +26,7 @@ from ircount.camloc import (
 )
 from ircount.cli import run
 from ircount.harness import render_blobs
-from oracles import flood_fill_components, union_find_components
+from oracles import flood_fill_components, scan_key, union_find_components
 
 bool_masks = arrays(np.bool_, st.tuples(st.integers(1, 12), st.integers(1, 12)))
 
@@ -107,8 +107,8 @@ def test_find_components_order_uses_overall_min_x():
     other = [(2, 1), (2, 2)]
     comps = find_components(binarize(pixel_map(10, 10, snake + other), 27.0))
     assert len(comps) == 2
-    assert comps[0].scan_key() == (1, 0)
-    assert comps[1].scan_key() == (1, 2)
+    assert scan_key(comps[0]) == (1, 0)
+    assert scan_key(comps[1]) == (1, 2)
     assert comps[0].pixels == frozenset(snake)
 
 
@@ -126,7 +126,7 @@ def _same_components(mask):
     want = flood_fill_components(mask)
     assert [c.area for c in got] == [c.area for c in want]
     assert [tuple(map(float.hex, c.centroid)) for c in got] == [tuple(map(float.hex, c.centroid)) for c in want]
-    assert [c.scan_key() for c in got] == [c.scan_key() for c in want]
+    assert [scan_key(c) for c in got] == [scan_key(c) for c in want]
     assert [c.pixels for c in got] == [c.pixels for c in want]
     for c in got:  # sampling indexes the pixels in (x, y) order
         assert list(zip(c.xs.tolist(), c.ys.tolist())) == sorted(c.pixels)
@@ -201,7 +201,7 @@ def test_find_components_tied_scan_keys_keep_discovery_order():
     stairs = [(3, 0), (2, 1), (1, 2), (0, 3)]
     hook = [(6, y) for y in range(6)] + [(x, 6) for x in range(6)]
     comps = _same_components(binarize(pixel_map(8, 8, hook + stairs), 27.0))
-    assert [c.scan_key() for c in comps] == [(0, 0), (0, 0)]
+    assert [scan_key(c) for c in comps] == [(0, 0), (0, 0)]
     assert comps[0].pixels == frozenset(stairs)
 
 

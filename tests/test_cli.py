@@ -7,6 +7,7 @@ import random
 import stat
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -234,6 +235,18 @@ def test_locate_cam_map_scale(tmp_path):
     assert payload["points"][0] == [(4 + 0.5) / 8, (4 + 0.5) / 8]
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan"])
+def test_locate_cam_rejects_non_finite_map_scale(tmp_path, capsys, scale):
+    # Unchecked, inf scales every value to 0 and answers 'empty-mask', and
+    # nan turns every value into nan and blames the map file.
+    camloc.write_activation_map(Grid(8, 8, np.full((8, 8), 200.0), camloc.CAM_RANGE), tmp_path / "m.cam")
+    argv = ["locate-cam", "--map", str(tmp_path / "m.cam"), "--count", "1", "--map-scale", scale]
+    assert run([*argv, "--out", str(tmp_path / "p.json")]) == 1
+    err = capsys.readouterr().err
+    assert "--map-scale" in err and scale in err and "m.cam" not in err
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_ablate_writes_subsets(tmp_path, capsys):
     src = write_counts_manifest(tmp_path / "src.json", "src", list(range(12)))
     code = run(
@@ -279,6 +292,17 @@ def test_ablate_subsets_match_fresh_encoding(tmp_path, capsys):
         fresh = corpus.load_manifest(src).index()
         save_manifest(Dataset(written.name, tuple(fresh[r.id] for r in written)), tmp_path / "e.json")
         assert (tmp_path / "e.json").read_bytes() == Path(entry["path"]).read_bytes()
+
+
+def test_ablate_rejects_fractions_that_share_a_file_name(tmp_path, capsys):
+    # Both format as subset_0.123456.json; the second would overwrite the first.
+    src = write_counts_manifest(tmp_path / "src.json", "src", list(range(12)))
+    out_dir = tmp_path / "subsets"
+    argv = ["ablate", "--manifest", str(src), "--fractions", "0.1234561,0.1234562,1", "--out-dir", str(out_dir)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "0.1234561" in captured.err and "0.1234562" in captured.err
+    assert captured.out == "" and not out_dir.exists()
 
 
 def test_parse_fractions_range_and_list():
@@ -386,6 +410,23 @@ def test_synth_cli_writes_scene(tmp_path, capsys):
     assert amap.values.max() == 255.0
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--sigma", "inf", "blob_sigma"),  # unchecked, math.ceil raises OverflowError: exit 2
+        ("--sigma", "nan", "blob_sigma"),
+        ("--min-sep", "nan", "min_sep"),
+        ("--min-sep", "inf", "min_sep"),
+    ],
+)
+def test_synth_rejects_non_finite_flag(tmp_path, capsys, flag, value, name):
+    argv = ["synth", "--n", "2", "--dims", "32x32", flag, value, "--out", str(tmp_path / "scene")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{name} must be positive and finite, got {value}" in err
+    assert not (tmp_path / "scene").exists()
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_outputs_get_umask_mode(tmp_path, capsys, umask, mode):
     old = os.umask(umask)
@@ -438,6 +479,21 @@ def test_emit_plot_fraction_curve_marks_best(tmp_path):
     emit_plot(curve, tmp_path / "f.svg")
     svg = (tmp_path / "f.svg").read_text()
     assert "best 0.500 @ 0.9000" in svg
+
+
+def test_emit_plot_escapes_label(tmp_path):
+    curve = FractionCurve((0.1, 1.0), (0.2, 0.6), label="A&B <x>")
+    emit_plot(curve, tmp_path / "l.svg")
+    title = ElementTree.parse(tmp_path / "l.svg").getroot().find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "A&B <x>"
+
+
+def test_emit_plot_plain_label_bytes(tmp_path):
+    # The digest of the file written before labels were escaped: a label
+    # with nothing to escape keeps its bytes.
+    emit_plot(FractionCurve((0.1, 0.5, 1.0), (0.2, 0.9, 0.6), label="data-hungry"), tmp_path / "p.svg")
+    digest = hashlib.sha256((tmp_path / "p.svg").read_bytes()).hexdigest()
+    assert digest == "14b2ae2a5eb7b71fe35d3d1a13910358df2cc91fd0bba0ab5f2b81c10e2891f9"
 
 
 def write_locate_instance(tmp_path, seed, images, max_points, spread):

@@ -199,6 +199,98 @@ def test_manifest_round_trip_any_records(tmp_path_factory, name, recs):
     assert load_manifest(path) == ds
 
 
+# Values of the wrong type, or out of range, for each constructor argument.
+# An int where a float belongs is allowed (1 saves as 1 and loads as
+# 1.0 == 1), so "entry" mixes ints that must round-trip with bools.
+WRONG = {
+    "id": ("", 7, 2.5, True, None, b"r", ("r",)),
+    "width": (True, False, 2.5, 64.0, 0, -3, "64", None),
+    "height": (True, 1.0, 0, "8"),
+    "frame_path": (3, 2.5, True, b"f", ("f",)),
+    "count": (True, False, 1.0, -1),
+    "entry": (True, False, 1, 0, 1.5),
+}
+
+
+@st.composite
+def loose_records(draw):
+    """An ImageRecord built from drawn arguments, at most one of them wrong.
+
+    Each entry gives one box and the point at its center, so the tiers
+    present agree in size. Returns the record, or the ValueError its
+    constructor raised.
+    """
+    entries = draw(st.lists(st.tuples(unit, unit, size, size, unit).map(list), max_size=3))
+    args = {
+        "id": draw(st.text(min_size=1)),
+        "width": draw(st.integers(1, 4096)),
+        "height": draw(st.integers(1, 4096)),
+        "frame_path": draw(st.none() | st.text()),
+        "count": len(entries),
+    }
+    bad = draw(st.sampled_from([None, *WRONG]))
+    if bad == "entry" and entries:
+        entries[draw(st.integers(0, len(entries) - 1))][draw(st.integers(0, 4))] = draw(st.sampled_from(WRONG[bad]))
+    elif bad in args:
+        args[bad] = draw(st.sampled_from(WRONG[bad]))
+    tiers = draw(st.sets(st.sampled_from(["boxes", "points", "count"]), min_size=1))
+    try:
+        return ImageRecord(
+            args["id"],
+            args["width"],
+            args["height"],
+            tuple(BoundingBox(*e) for e in entries) if "boxes" in tiers else None,
+            tuple(PointAnnotation(e[0], e[1], e[4]) for e in entries) if "points" in tiers else None,
+            CountLabel(args["count"]) if "count" in tiers else None,
+            args["frame_path"],
+        )
+    except ValueError as exc:
+        return exc
+
+
+@given(
+    name=st.text(min_size=1) | st.sampled_from(["", 0, 1.5, True, None, b"n", ("n",)]),
+    recs=st.lists(loose_records(), max_size=4),
+)
+def test_constructors_reject_or_round_trip(tmp_path_factory, name, recs):
+    # Whatever the public constructors accept, save_manifest writes and
+    # load_manifest reads back equal; anything else raises ValueError.
+    if any(isinstance(r, ValueError) for r in recs):
+        return
+    try:
+        ds = Dataset(name, tuple(recs))
+    except ValueError:
+        return
+    path = tmp_path_factory.mktemp("loose") / "m.json"
+    save_manifest(ds, path)
+    assert load_manifest(path) == ds
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ImageRecord("r", True, 64, count=CountLabel(1)),
+        lambda: ImageRecord("r", 2.5, 64, count=CountLabel(1)),
+        lambda: ImageRecord("r", 64, 64, boxes=(BoundingBox(True, 0.5, 0.1, 0.1),)),
+        lambda: ImageRecord("r", 64, 64, count=CountLabel(1), frame_path=3),
+        lambda: Dataset("", ()),
+    ],
+    ids=["bool-width", "float-width", "bool-box-value", "int-frame-path", "empty-dataset-name"],
+)
+def test_constructor_rejects_what_the_loader_rejects(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("name", ["", 5, None])
+def test_manifest_bad_name_names_file(tmp_path, name):
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps({"name": name, "records": []}))
+    with pytest.raises(ManifestError, match="name") as err:
+        load_manifest(path)
+    assert str(path) in str(err.value)
+
+
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_manifest_one_record_per_line(tmp_path, n):
     ds = Dataset('q"uo\\te', tuple(count_record(f'r"{i}', i) for i in range(n)))

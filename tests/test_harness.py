@@ -256,6 +256,12 @@ def test_render_blobs_values_bounded():
     assert amap.values.min() >= 0.0
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("inf"), float("nan")])
+def test_render_blobs_rejects_non_finite_or_non_positive_sigma(sigma):
+    with pytest.raises(ValueError, match="positive and finite"):
+        render_blobs(16, 16, [(8, 8)], sigma)
+
+
 def test_end_to_end_synth_locate_maed_loop():
     bound = (1.5 / 64) ** 2
     for seed in range(10):

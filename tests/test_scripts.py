@@ -10,6 +10,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(cwd, argv, **env):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -20,13 +32,16 @@ ROOT = Path(__file__).resolve().parents[1]
     ids=lambda argv: argv[0],
 )
 def test_script_runs(tmp_path, argv):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_script(tmp_path, argv)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_fraction_ablation_ignores_hash_seed(tmp_path):
+    argv = ["run_fraction_ablation.py", "--train-size", "100", "--test-size", "40", "--out-dir", "out"]
+    outs = []
+    for hash_seed in ("1", "2"):
+        (tmp_path / hash_seed).mkdir()
+        proc = run_script(tmp_path / hash_seed, argv, PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
