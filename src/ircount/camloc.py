@@ -70,7 +70,10 @@ class LocateResult:
 
     points: tuple[PointAnnotation, ...]
     branch: str
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.branch == "empty-mask"
 
 
 def binarize(amap: Grid, threshold: float) -> np.ndarray:
@@ -219,7 +222,7 @@ def locate_people(
         flat_idx = int(np.argmax(amap.values))
         py, px = divmod(flat_idx, amap.width)
         point = _pixel_point(px, py, amap.width, amap.height)
-        return LocateResult((point,) * num_instances, "empty-mask", degenerate=True)
+        return LocateResult((point,) * num_instances, "empty-mask")
 
     if num_instances == len(comps):
         return LocateResult(tuple(_centroid_point(c) for c in comps), "exact")

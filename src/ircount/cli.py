@@ -46,25 +46,14 @@ def emit_plot(curve: ThresholdCurve | FractionCurve, path: str | Path) -> None:
     yield identical files.
     """
     if isinstance(curve, ThresholdCurve):
-        xs, ys = curve.thresholds, curve.accuracies
-        xlabel, title = "threshold", "count accuracy vs. score threshold"
-        best = (curve.best_threshold, curve.best_accuracy)
+        xs, xlabel, title = curve.thresholds, "threshold", "count accuracy vs. score threshold"
     else:
-        xs, ys = curve.fractions, curve.accuracies
-        xlabel = "training fraction"
+        xs, xlabel = curve.fractions, "training fraction"
         title = curve.label or "count accuracy vs. training fraction"
-        best_acc = max(ys)
-        best = next((x, y) for x, y in zip(xs, ys) if y == best_acc)
-    write_text_atomic(path, _svg_line_chart(xs, ys, best, xlabel, title))
+    write_text_atomic(path, _svg_line_chart(xs, curve.accuracies, xlabel, title))
 
 
-def _svg_line_chart(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    best: tuple[float, float],
-    xlabel: str,
-    title: str,
-) -> str:
+def _svg_line_chart(xs: Sequence[float], ys: Sequence[float], xlabel: str, title: str) -> str:
     # The replacements of xml.sax.saxutils.escape, whose import would load urllib and http.client.
     title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     left, right, top, bottom = 60.0, 620.0, 30.0, 355.0
@@ -101,6 +90,7 @@ def _svg_line_chart(
     parts.append('<text x="16" y="192" text-anchor="middle" transform="rotate(-90 16 192)">accuracy</text>')
     points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
     parts.append(f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>')
+    best = postprocess.best_point(xs, ys)
     bx, by = sx(best[0]), sy(best[1])
     parts.append(f'<circle cx="{bx:.2f}" cy="{by:.2f}" r="4" fill="crimson"/>')
     parts.append(
@@ -233,16 +223,11 @@ def _cmd_tune_threshold(args: argparse.Namespace) -> None:
     pred = corpus.load_manifest(args.pred, args.max_count)
     grid = postprocess.default_grid(args.grid_step)
     curve = postprocess.tune_threshold(pred, gt, grid, args.nms)
-    payload = {
-        "thresholds": list(curve.thresholds),
-        "accuracies": list(curve.accuracies),
-        "best_threshold": curve.best_threshold,
-        "best_accuracy": curve.best_accuracy,
-    }
-    _emit(payload, args.out)
+    best = {"best_threshold": curve.best_threshold, "best_accuracy": curve.best_accuracy}
+    _emit({"thresholds": list(curve.thresholds), "accuracies": list(curve.accuracies), **best}, args.out)
     if args.svg:
         emit_plot(curve, args.svg)
-    _emit({"best_threshold": curve.best_threshold, "best_accuracy": curve.best_accuracy, "out": args.out}, None)
+    _emit({**best, "out": args.out}, None)
 
 
 def _cmd_locate_cam(args: argparse.Namespace) -> None:
@@ -323,9 +308,9 @@ def _cmd_break_even(args: argparse.Namespace) -> None:
         curve = FractionCurve(
             tuple(doc["fractions"]), tuple(doc["accuracies"]), doc.get("label", "")
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
-            f"{args.curve}: curve file must carry 'fractions' and 'accuracies' lists: {exc}"
+            f"{args.curve}: curve file must carry 'fractions' and 'accuracies' lists and a string label: {exc}"
         ) from exc
     fraction = harness.break_even(curve, args.target)
     _emit({"target": args.target, "fraction": fraction, "label": curve.label}, args.out)
@@ -371,14 +356,6 @@ def _cmd_synth(args: argparse.Namespace) -> None:
     _emit({"map": str(map_path), "manifest": str(manifest_path), "count": args.n, "seed": seed}, None)
 
 
-def _number(value: object) -> float:
-    """Return ``value`` if it is a JSON number that formats as a float; raise otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    float(value)  # an int beyond the float range raises OverflowError here
-    return value
-
-
 def _report_rows(doc: object, path: str) -> list[tuple[str, metrics.MetricsReport]]:
     if isinstance(doc, dict) and "rows" in doc:
         doc = doc["rows"]
@@ -393,13 +370,9 @@ def _report_rows(doc: object, path: str) -> list[tuple[str, metrics.MetricsRepor
         try:
             per_class = None
             if "per_class" in entry:
-                per_class = {
-                    int(k): (_number(v["accuracy"]), v["occurrences"])
-                    for k, v in entry["per_class"].items()
-                }
-            accuracy, mse, mae = (_number(entry[key]) for key in ("accuracy", "mse", "mae"))
-            report = metrics.MetricsReport(accuracy, mse, mae, entry["n"], per_class)
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+                per_class = {int(k): (v["accuracy"], v["occurrences"]) for k, v in entry["per_class"].items()}
+            report = metrics.MetricsReport(entry["accuracy"], entry["mse"], entry["mae"], entry["n"], per_class)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ValueError(f"{path}: results entry #{i} is missing a field or has a bad value: {exc}") from exc
         rows.append((str(entry.get("model", f"model-{i}")), report))
     return rows

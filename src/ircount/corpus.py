@@ -80,8 +80,9 @@ class CountLabel:
 class ImageRecord:
     """One image with any subset of the annotation tiers.
 
-    At least one tier must be present. When an explicit count coexists
-    with boxes or points, the cardinalities must agree.
+    At least one tier must be present, each made of its own annotation
+    type. When an explicit count coexists with boxes or points, the
+    cardinalities must agree.
     """
 
     id: str
@@ -104,7 +105,11 @@ class ImageRecord:
             raise ValueError(f"frame_path must be a string or None, got {self.frame_path!r}")
         if self.boxes is None and self.points is None and self.count is None:
             raise ValueError(f"record {self.id!r}: no annotation tier present")
-        for kind, tier in (("boxes", self.boxes), ("points", self.points)):
+        if self.count is not None and type(self.count) is not CountLabel:
+            raise ValueError(f"record {self.id!r}: count must be a CountLabel, got {self.count!r}")
+        for kind, tier, cls in (("boxes", self.boxes, BoundingBox), ("points", self.points, PointAnnotation)):
+            if tier is not None and operator.countOf(map(type, tier), cls) != len(tier):
+                raise ValueError(f"record {self.id!r}: {kind} must all be {cls.__name__} instances")
             if self.count is not None and tier is not None and self.count.count != len(tier):
                 raise ValueError(f"record {self.id!r}: count {self.count.count} != {len(tier)} {kind}")
 
@@ -189,6 +194,9 @@ def split_dataset(ds: Dataset, train_count: int, seed: int) -> tuple[Dataset, Da
     return Dataset(f"{ds.name}-train", train), Dataset(f"{ds.name}-test", test)
 
 
+_JSON_NUMBERS = frozenset((int, float))  # the types json.loads gives numbers; not bool or str
+
+
 def _parse_entry(
     raw: object, kind: str, cls: type[BoundingBox | PointAnnotation], width: int, height: int, pixel: bool
 ) -> BoundingBox | PointAnnotation:
@@ -200,8 +208,8 @@ def _parse_entry(
     fields = cls.__match_args__
     if not isinstance(raw, (list, tuple)) or len(raw) != len(fields):
         raise ValueError(f"{kind} must be [{', '.join(fields)}], got {raw!r}")
-    if bool in map(type, raw):
-        raise ValueError(f"{kind} values must be numbers, not booleans, got {raw!r}")
+    if not _JSON_NUMBERS.issuperset(map(type, raw)):
+        raise ValueError(f"{kind} values must be numbers, got {raw!r}")
     values = list(map(float, raw))
     if pixel:
         for i in range(len(values) - 1):

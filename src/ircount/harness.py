@@ -27,6 +27,9 @@ from ircount.postprocess import check_curve
 # about determinism or internals.
 Predictor = Callable[[object], object]
 
+PER_ITER_CAP = 10**6  # per-iteration latencies that bench_fps keeps
+MAX_ATTEMPTS_PER_BLOB = 1000  # candidate centers synth_scene tries per person
+
 # ProcessPredictor.close() waits this long for the child to exit after its
 # stdin closes, then this long again after SIGTERM before sending SIGKILL.
 CLOSE_WAIT_S = 10.0
@@ -45,6 +48,8 @@ class FractionCurve:
         object.__setattr__(self, "fractions", tuple(self.fractions))
         object.__setattr__(self, "accuracies", tuple(self.accuracies))
         check_curve("fractions", self.fractions, self.accuracies, open_low=True)
+        if not isinstance(self.label, str):
+            raise ValueError(f"curve label must be a string, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,11 @@ class BenchStats:
     warmup_iters: int
     timed_iters: int
     mean_latency: float
-    fps: float
     per_iter: tuple[float, ...] | None = None
+
+    @property
+    def fps(self) -> float:
+        return 1.0 / self.mean_latency
 
 
 class SynthScene(NamedTuple):
@@ -116,12 +124,11 @@ def bench_fps(
     warmup: int,
     iters: int,
     inputs: Sequence[object],
-    per_iter_cap: int = 10**6,
 ) -> BenchStats:
     """Serial latency benchmark: ``warmup`` untimed calls, then ``iters`` timed ones.
 
     Inputs cycle; each timed call is bracketed by a monotonic clock.
-    Per-iteration samples are retained (up to ``per_iter_cap``) so callers
+    Per-iteration samples are retained (up to ``PER_ITER_CAP``) so callers
     can report percentiles beyond the mean.
     """
     if iters < 1:
@@ -148,11 +155,11 @@ def bench_fps(
             raise RuntimeError(f"predictor failed at timed iteration {i}") from exc
         elapsed = time.perf_counter_ns() - start
         total_ns += elapsed
-        if len(samples) < per_iter_cap:
+        if len(samples) < PER_ITER_CAP:
             samples.append(elapsed / 1e9)
     total_ns = max(total_ns, 1)  # clock-resolution floor keeps fps finite
     mean_latency = total_ns / iters / 1e9
-    return BenchStats(warmup, iters, mean_latency, 1.0 / mean_latency, tuple(samples))
+    return BenchStats(warmup, iters, mean_latency, tuple(samples))
 
 
 def latency_percentile(stats: BenchStats, q: float) -> float:
@@ -220,12 +227,11 @@ def render_blobs(
     height: int,
     centers_px: Sequence[tuple[int, int]],
     sigmas: float | Sequence[float],
-    peak: float = 255.0,
 ) -> Grid:
     """Render isotropic Gaussian blobs, composited by elementwise max.
 
-    Max composition keeps every blob peak exactly at ``peak`` and the map
-    within [0, peak].
+    Max composition keeps every blob peak exactly at the top of
+    ``CAM_RANGE`` and the map within that range.
     """
     if isinstance(sigmas, (int, float)):
         sigmas = [float(sigmas)] * len(centers_px)
@@ -236,7 +242,7 @@ def render_blobs(
     for (cx, cy), sigma in zip(centers_px, sigmas):
         if not 0.0 < sigma < math.inf:
             raise ValueError(f"blob sigma must be positive and finite, got {sigma}")
-        blob = peak * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
+        blob = CAM_RANGE[1] * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
         np.maximum(grid, blob, out=grid)
     return Grid(width, height, grid, CAM_RANGE)
 
@@ -248,7 +254,6 @@ def synth_scene(
     blob_sigma: float = 2.0,
     min_sep: float = 16.0,
     seed: int = 0,
-    max_attempts_per_blob: int = 1000,
 ) -> SynthScene:
     """Plant well-separated Gaussian blobs and return map plus ground truth.
 
@@ -272,7 +277,7 @@ def synth_scene(
     centers: list[tuple[int, int]] = []
     attempts = 0
     while len(centers) < n_people:
-        if attempts >= max_attempts_per_blob * n_people:
+        if attempts >= MAX_ATTEMPTS_PER_BLOB * n_people:
             raise ValueError(
                 f"could not place {n_people} centers >= {min_sep} px apart "
                 f"in {width} x {height} after {attempts} attempts"

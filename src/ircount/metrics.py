@@ -8,6 +8,7 @@ fixed penalty for every unmatched point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +33,9 @@ class MetricsReport:
     """Aggregated counting metrics over a set of images.
 
     ``per_class`` maps ground-truth count -> (accuracy, occurrences) when
-    a class breakdown was requested.
+    a class breakdown was requested. Accuracies lie in [0, 1], errors are
+    finite and non-negative, and ``n``, counts and occurrences are ints
+    (at least 1, 0 and 0); booleans are not numbers here.
     """
 
     accuracy: float
@@ -40,6 +43,21 @@ class MetricsReport:
     mae: float
     n: int
     per_class: dict[int, tuple[float, int]] | None = None
+
+    def __post_init__(self) -> None:
+        for name, hi in (("accuracy", 1.0), ("mse", sys.float_info.max), ("mae", sys.float_info.max)):
+            _check_value(name, getattr(self, name), 0, hi)
+        _check_value("n", self.n, 1, math.inf, int)
+        for gt, (acc, occ) in (self.per_class or {}).items():
+            _check_value("class", gt, 0, math.inf, int)
+            _check_value(f"class {gt} accuracy", acc, 0, 1.0)
+            _check_value(f"class {gt} occurrences", occ, 0, math.inf, int)
+
+
+def _check_value(name: str, value: object, lo: float, hi: float, types: type | tuple = (int, float)) -> None:
+    if type(value) is bool or not isinstance(value, types) or not lo <= value <= hi:
+        kind = "an integer" if types is int else "a number"
+        raise ValueError(f"{name} must be {kind} in [{lo}, {hi:g}], got {value!r}")
 
 
 @dataclass(frozen=True)

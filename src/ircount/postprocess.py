@@ -20,15 +20,24 @@ from ircount.metrics import CountPair
 def check_curve(axis: str, xs: Sequence[float], accuracies: Sequence[float], open_low: bool = False) -> None:
     """Check an accuracy curve: ``xs`` (named ``axis`` in messages) strictly
     ascending within [0, 1], or (0, 1] when ``open_low``, with one accuracy
-    in [0, 1] per point."""
+    in [0, 1] per point. Every value must be a number, not a boolean."""
     if len(xs) != len(accuracies) or not xs:
         raise ValueError(f"{axis} and accuracies must be equal-length and non-empty")
+    if bool in map(type, xs) or bool in map(type, accuracies):
+        raise ValueError(f"{axis} and accuracies must be numbers, not booleans")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError(f"{axis} must be strictly ascending")
-    if (xs[0] <= 0.0 if open_low else xs[0] < 0.0) or xs[-1] > 1.0:
+    if any(not (0.0 < x <= 1.0 if open_low else 0.0 <= x <= 1.0) for x in xs):
         raise ValueError(f"{axis} must lie in {'(' if open_low else '['}0, 1]")
     if any(not 0.0 <= a <= 1.0 for a in accuracies):
         raise ValueError("accuracies must lie in [0, 1]")
+
+
+def best_point(xs: Sequence[float], accuracies: Sequence[float]) -> tuple[float, float]:
+    """The point of a checked curve with the highest accuracy; ties go to
+    the smallest x."""
+    i = accuracies.index(max(accuracies))
+    return xs[i], accuracies[i]
 
 
 @dataclass(frozen=True)
@@ -36,29 +45,24 @@ class ThresholdCurve:
     """Accuracy as a function of confidence threshold.
 
     ``best_threshold`` is the smallest threshold attaining the maximum
-    accuracy.
+    accuracy, ``best_accuracy``.
     """
 
     thresholds: tuple[float, ...]
     accuracies: tuple[float, ...]
-    best_threshold: float
-    best_accuracy: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
         object.__setattr__(self, "accuracies", tuple(self.accuracies))
         check_curve("thresholds", self.thresholds, self.accuracies)
-        if self.best_accuracy != max(self.accuracies):
-            raise ValueError("best_accuracy must equal max(accuracies)")
-        expect = next(t for t, a in zip(self.thresholds, self.accuracies) if a == self.best_accuracy)
-        if self.best_threshold != expect:
-            raise ValueError("best_threshold must be the smallest threshold attaining the max")
 
-    @classmethod
-    def from_sweep(cls, thresholds: Sequence[float], accuracies: Sequence[float]) -> "ThresholdCurve":
-        best_acc = max(accuracies)
-        best_thr = next(t for t, a in zip(thresholds, accuracies) if a == best_acc)
-        return cls(tuple(thresholds), tuple(accuracies), best_thr, best_acc)
+    @property
+    def best_threshold(self) -> float:
+        return best_point(self.thresholds, self.accuracies)[0]
+
+    @property
+    def best_accuracy(self) -> float:
+        return max(self.accuracies)
 
 
 _NMS_BLOCK = 512  # rows of the pairwise overlap matrix built at once
@@ -154,7 +158,7 @@ def default_grid(step: float = 0.001) -> list[float]:
 def tune_threshold(
     pred: Dataset,
     gt: Dataset,
-    grid: Sequence[float] | None = None,
+    grid: Sequence[float],
     nms_iou: float = 0.7,
 ) -> ThresholdCurve:
     """Sweep confidence thresholds and report count accuracy at each.
@@ -162,14 +166,9 @@ def tune_threshold(
     NMS runs once per record at a fixed IoU threshold; the sweep then
     counts surviving boxes scoring at or above each grid value. The
     returned best threshold breaks ties toward the smallest grid value.
+    The grid must be non-empty and lie in [0, 1]; any order will do.
     """
-    if grid is None:
-        grid = default_grid()
-    if not grid:
-        raise ValueError("threshold grid must be non-empty")
     grid = sorted(float(t) for t in grid)
-    if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise ValueError("grid thresholds must lie in [0, 1]")
 
     # A record scores at threshold t exactly when lo < t <= hi: hi is its
     # target-th highest kept score and lo the next one down (+inf and -inf
@@ -194,7 +193,7 @@ def tune_threshold(
     size = len(grid) + 1
     hits = np.cumsum(np.bincount(first, minlength=size) - np.bincount(stop, minlength=size))[:-1]
     accuracies = (hits / len(pairs)).tolist()
-    return ThresholdCurve.from_sweep(grid, accuracies)
+    return ThresholdCurve(grid, accuracies)
 
 
 def apply_detector_postprocessing(

@@ -410,3 +410,8 @@ def test_locate_cam_output_is_pinned(tmp_path, seed, count, threshold, branch, d
     output = locate_cam_output(tmp_path, seed, count, threshold)
     assert json.loads(output)["branch"] == branch
     assert hashlib.sha256(output).hexdigest() == digest
+
+
+@pytest.mark.parametrize("branch", ["none", "exact", "largest", "split", "empty-mask"])
+def test_locate_result_is_degenerate_only_on_the_empty_mask_branch(branch):
+    assert LocateResult((), branch).degenerate is (branch == "empty-mask")

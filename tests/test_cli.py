@@ -194,6 +194,49 @@ def test_tune_threshold_rejects_grid_step_not_dividing_one(tmp_path, capsys):
     assert not (tmp_path / "curve.json").exists()
 
 
+
+def tune_threshold_outputs(tmp_path, seed, images, grid_step):
+    """Seeded count labels and scored detections (hits, near duplicates for
+    NMS and low-scoring extras); returns the bytes of curve.json and the SVG."""
+    rng = random.Random(seed)
+    gt_records, pred_records = [], []
+    for i in range(images):
+        count = rng.randint(0, 6)
+        boxes = []
+        for _ in range(count + rng.randint(-1, 1)):
+            cx, cy = rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)
+            boxes.append(BoundingBox(cx, cy, 0.1, 0.1, round(rng.uniform(0.3, 1.0), 3)))
+            if rng.random() < 0.2:
+                boxes.append(BoundingBox(min(cx + 0.005, 1.0), cy, 0.1, 0.1, round(rng.uniform(0.1, 0.6), 3)))
+        boxes += [BoundingBox(rng.random(), rng.random(), 0.05, 0.05, round(rng.uniform(0.0, 0.4), 3))
+                  for _ in range(rng.randint(0, 2))]
+        gt_records.append(ImageRecord(f"img{i}", 64, 64, count=CountLabel(count)))
+        pred_records.append(ImageRecord(f"img{i}", 64, 64, boxes=tuple(boxes)))
+    save_manifest(Dataset("gt", tuple(gt_records)), tmp_path / "gt.json")
+    save_manifest(Dataset("pred", tuple(pred_records)), tmp_path / "pred.json")
+    argv = ["tune-threshold", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json"),
+            "--grid-step", grid_step, "--out", str(tmp_path / "curve.json"), "--svg", str(tmp_path / "curve.svg")]
+    assert run(argv) == 0
+    return (tmp_path / "curve.json").read_bytes(), (tmp_path / "curve.svg").read_bytes()
+
+
+# (seed, images, --grid-step, sha256 of curve.json, sha256 of the SVG), taken
+# when the curve still carried its best point as two stored fields.
+PINNED_TUNE_THRESHOLD = [
+    (1, 40, "0.01", "4f22b8c1b11bb43d6650189c870f9126ff7bda0bc0727c238d48f9e0ac50210f",
+     "89106ae459e508f7f46abd868992e42f8258f3583a3bdfbbd57d79fee40a609b"),
+    (2, 200, "0.001", "be1e17b21308099b84d7a18ce10927d60f15cc04d8612cda0935c8a62cefc2a9",
+     "2043459d7891cba9eccb6b2440f3fdef16a325f7ca4ff55664d9e040ab4915b6"),
+]
+
+
+@pytest.mark.parametrize("seed,images,grid_step,curve_digest,svg_digest", PINNED_TUNE_THRESHOLD)
+def test_tune_threshold_output_is_pinned(tmp_path, capsys, seed, images, grid_step, curve_digest, svg_digest):
+    curve, svg = tune_threshold_outputs(tmp_path, seed, images, grid_step)
+    assert hashlib.sha256(curve).hexdigest() == curve_digest
+    assert hashlib.sha256(svg).hexdigest() == svg_digest
+
+
 def test_locate_cam_output(tmp_path, capsys):
     scene = harness.synth_scene(3, 64, 64, blob_sigma=2.0, min_sep=16.0, seed=5)
     camloc.write_activation_map(scene.amap, tmp_path / "m.cam")
@@ -356,6 +399,21 @@ def test_json_inputs_that_do_not_parse_name_the_file(tmp_path, capsys, command, 
         {"accuracy": "0.5", "mse": 0.1, "mae": 0.1, "n": 2},
         {"accuracy": 0.5, "mse": True, "mae": 0.1, "n": 2},
         {"accuracy": 0.5, "mse": 0.1, "mae": 10**400, "n": 2},
+        {"accuracy": float("nan"), "mse": 0.1, "mae": 0.1, "n": 2},
+        {"accuracy": 1.5, "mse": 0.1, "mae": 0.1, "n": 2},
+        {"accuracy": 0.5, "mse": -1, "mae": 0.1, "n": 2},
+        {"accuracy": 0.5, "mse": float("inf"), "mae": 0.1, "n": 2},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 1e400, "n": 2},
+        {"accuracy": 0.5, "mse": 0.1, "mae": float("nan"), "n": 2},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 0.1, "n": "zz"},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 0.1, "n": 0},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 0.1, "n": 2.0},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 0.1, "n": True},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 0.1, "n": 2, "per_class": {"1": {"accuracy": 7, "occurrences": 1}}},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 0.1, "n": 2, "per_class": {"1": {"accuracy": 1, "occurrences": "q"}}},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 0.1, "n": 2, "per_class": {"1": {"accuracy": 1, "occurrences": -1}}},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 0.1, "n": 2, "per_class": {"-1": {"accuracy": 1, "occurrences": 1}}},
+        {"accuracy": 0.5, "mse": 0.1, "mae": 0.1, "n": 2, "per_class": {"1": {"accuracy": False, "occurrences": 1}}},
     ],
 )
 def test_report_rejects_bad_values_naming_the_file(tmp_path, capsys, entry):
@@ -374,6 +432,28 @@ def test_break_even_cli(tmp_path, capsys):
     assert payload["fraction"] == pytest.approx(0.55, abs=1e-12)
     assert run(["break-even", "--curve", str(tmp_path / "curve.json"), "--target", "1.0"]) == 0
     assert json.loads(capsys.readouterr().out)["fraction"] == 1.0
+
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"fractions": [true], "accuracies": [true]}',
+        '{"fractions": [0.5, 1.0], "accuracies": [0.5, true]}',
+        '{"fractions": [0.5, NaN], "accuracies": [0.5, 0.6]}',
+        '{"fractions": [NaN, 0.5], "accuracies": [0.5, 0.6]}',
+        '{"fractions": [0.5, 1.0], "accuracies": [0.5, NaN]}',
+        '{"fractions": [0.5, 1.0], "accuracies": [0.5, 0.6], "label": 3}',
+        '{"fractions": [0.5, 1.0], "accuracies": [0.5, 0.6], "label": null}',
+    ],
+)
+def test_break_even_rejects_bad_curve_naming_the_file(tmp_path, capsys, text):
+    path = tmp_path / "curve.json"
+    path.write_text(text)
+    assert run(["break-even", "--curve", str(path), "--target", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert str(path) in captured.err
+    assert captured.out == ""
 
 
 def test_bench_cli_with_echo_predictor(capsys):
@@ -454,6 +534,40 @@ def test_report_cli_renders_table(tmp_path, capsys):
     assert "Model,Acc↑,MSE↓,MAE↓" in capsys.readouterr().out
 
 
+
+def test_report_cli_renders_per_class_rows(tmp_path, capsys):
+    per_class = {"0": {"accuracy": 1.0, "occurrences": 2}, "3": {"accuracy": 0.25, "occurrences": 4}}
+    rows = [
+        {"model": "det-a", "accuracy": 0.5, "mse": 0.75, "mae": 0.5, "n": 6, "per_class": per_class},
+        {"model": "cls-b", "accuracy": 1, "mse": 0, "mae": 0, "n": 6},
+    ]
+    (tmp_path / "results.json").write_text(json.dumps(rows))
+    assert run(["report", "--in", str(tmp_path / "results.json"), "--format", "markdown"]) == 0
+    assert capsys.readouterr().out == (
+        "| Model | Acc↑ | MSE↓ | MAE↓ |\n"
+        "|---|---|---|---|\n"
+        "| det-a | 50.00 % | 0.750 | 0.500 |\n"
+        "| cls-b | 100.00 % | 0.000 | 0.000 |\n"
+        "\n"
+        "det-a:\n"
+        "| Count | Occurrences | Acc↑ |\n"
+        "|---|---|---|\n"
+        "| 0 | 2 | 100.00 % |\n"
+        "| 3 | 4 | 25.00 % |\n"
+    )
+    assert run(["report", "--in", str(tmp_path / "results.json"), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "Model,Acc↑,MSE↓,MAE↓\n"
+        "det-a,50.00 %,0.750,0.500\n"
+        "cls-b,100.00 %,0.000,0.000\n"
+        "\n"
+        "det-a:\n"
+        "Count,Occurrences,Acc↑\n"
+        "0,2,100.00 %\n"
+        "3,4,25.00 %\n"
+    )
+
+
 def test_report_cli_rejects_malformed(tmp_path, capsys):
     (tmp_path / "bad.json").write_text(json.dumps({"rows": [{"model": "x"}]}))
     assert run(["report", "--in", str(tmp_path / "bad.json")]) == 1
@@ -461,7 +575,7 @@ def test_report_cli_rejects_malformed(tmp_path, capsys):
 
 
 def test_emit_plot_single_point_curve(tmp_path):
-    curve = ThresholdCurve((0.5,), (0.8,), 0.5, 0.8)
+    curve = ThresholdCurve((0.5,), (0.8,))
     emit_plot(curve, tmp_path / "one.svg")
     svg = (tmp_path / "one.svg").read_text()
     assert svg.count("<circle") == 1

@@ -274,8 +274,16 @@ def test_constructors_reject_or_round_trip(tmp_path_factory, name, recs):
         lambda: ImageRecord("r", 64, 64, boxes=(BoundingBox(True, 0.5, 0.1, 0.1),)),
         lambda: ImageRecord("r", 64, 64, count=CountLabel(1), frame_path=3),
         lambda: Dataset("", ()),
+        lambda: ImageRecord("r", 8, 8, count=3),
+        lambda: ImageRecord("r", 8, 8, boxes=((0.5, 0.5, 0.1, 0.1, 1.0),)),
+        lambda: ImageRecord("r", 8, 8, boxes=(PointAnnotation(0.5, 0.5),)),
+        lambda: ImageRecord("r", 8, 8, points=(PointAnnotation(0.5, 0.5), BoundingBox(0.5, 0.5, 0.1, 0.1))),
+        lambda: ImageRecord("r", 8, 8, points=(PointAnnotation(0.5, 0.5),), count=1),
     ],
-    ids=["bool-width", "float-width", "bool-box-value", "int-frame-path", "empty-dataset-name"],
+    ids=[
+        "bool-width", "float-width", "bool-box-value", "int-frame-path", "empty-dataset-name",
+        "int-count", "tuple-box", "point-in-boxes", "box-in-points", "int-count-beside-points",
+    ],
 )
 def test_constructor_rejects_what_the_loader_rejects(build):
     with pytest.raises(ValueError):
@@ -393,6 +401,9 @@ def test_manifest_rejects_bool_dimensions(tmp_path, field):
         {"points": [[0.5, 0.5, 10**400]]},
         {"coords": "pixel", "width": 0, "points": [[1, 1, 1.0]]},
         {"coords": "pixel", "width": 10**400, "points": [[1, 1, 1.0]]},
+        {"boxes": [["0.5", "0.5", "0.1", "0.1", "1"]]},
+        {"points": [[0.5, "0.5", 1.0]]},
+        {"coords": "pixel", "points": [["1", 1, 1.0]]},
     ],
 )
 def test_manifest_malformed_entry_names_file_and_record(tmp_path, fields):

@@ -173,10 +173,10 @@ def test_bench_rejects_bad_arguments():
 
 
 def test_latency_percentile():
-    stats = BenchStats(0, 4, 0.25, 4.0, (0.1, 0.2, 0.3, 0.4))
+    stats = BenchStats(0, 4, 0.25, (0.1, 0.2, 0.3, 0.4))
     assert latency_percentile(stats, 100) == 0.4
     with pytest.raises(ValueError):
-        latency_percentile(BenchStats(0, 1, 1.0, 1.0, None), 50)
+        latency_percentile(BenchStats(0, 1, 1.0, None), 50)
 
 
 ECHO_LOOP = "import sys\nfor line in sys.stdin:\n    print('echo:' + line.strip(), flush=True)\n"
@@ -242,7 +242,7 @@ def test_synth_scene_peak_and_range():
 
 def test_synth_scene_infeasible_placement():
     with pytest.raises(ValueError, match="could not place"):
-        synth_scene(12, 20, 20, blob_sigma=2.0, min_sep=30.0, seed=0, max_attempts_per_blob=50)
+        synth_scene(12, 20, 20, blob_sigma=2.0, min_sep=30.0, seed=0)
 
 
 def test_synth_scene_rejects_tiny_canvas():
@@ -288,10 +288,10 @@ def test_fraction_curve_validation():
         (lambda: FractionCurve((0.5, 0.5), (0.1, 0.2)), "fractions must be strictly ascending"),
         (lambda: FractionCurve((0.0, 0.5), (0.1, 0.2)), "fractions must lie in (0, 1]"),
         (lambda: FractionCurve((0.5,), (1.5,)), "accuracies must lie in [0, 1]"),
-        (lambda: ThresholdCurve((0.1,), (), 0.1, 0.5), "thresholds and accuracies must be equal-length and non-empty"),
-        (lambda: ThresholdCurve((0.5, 0.5), (0.1, 0.2), 0.5, 0.2), "thresholds must be strictly ascending"),
-        (lambda: ThresholdCurve((-0.1, 0.5), (0.1, 0.2), 0.5, 0.2), "thresholds must lie in [0, 1]"),
-        (lambda: ThresholdCurve((0.5,), (1.5,), 0.5, 1.5), "accuracies must lie in [0, 1]"),
+        (lambda: ThresholdCurve((0.1,), ()), "thresholds and accuracies must be equal-length and non-empty"),
+        (lambda: ThresholdCurve((0.5, 0.5), (0.1, 0.2)), "thresholds must be strictly ascending"),
+        (lambda: ThresholdCurve((-0.1, 0.5), (0.1, 0.2)), "thresholds must lie in [0, 1]"),
+        (lambda: ThresholdCurve((0.5,), (1.5,)), "accuracies must lie in [0, 1]"),
     ],
 )
 def test_curve_validation_messages(build, message):
@@ -301,6 +301,44 @@ def test_curve_validation_messages(build, message):
 
 
 def test_threshold_curve_may_start_at_zero_where_fraction_curve_may_not():
-    assert ThresholdCurve((0.0, 1.0), (0.5, 0.25), 0.0, 0.5).thresholds == (0.0, 1.0)
+    assert ThresholdCurve((0.0, 1.0), (0.5, 0.25)).thresholds == (0.0, 1.0)
     with pytest.raises(ValueError):
         FractionCurve((0.0, 1.0), (0.5, 0.25))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FractionCurve((0.5, float("nan"), 1.0), (0.1, 0.2, 0.3)),
+        lambda: FractionCurve((float("nan"), 0.5), (0.1, 0.2)),
+        lambda: FractionCurve((0.5, 1.0), (0.1, float("nan"))),
+        lambda: FractionCurve((True,), (0.5,)),
+        lambda: FractionCurve((0.5, 1.0), (0.5, True)),
+        lambda: FractionCurve((0.5, 1.0), (0.5, 0.6), label=None),
+        lambda: ThresholdCurve((0.0, float("nan")), (0.1, 0.2)),
+        lambda: ThresholdCurve((False, 0.5), (0.1, 0.2)),
+    ],
+    ids=["nan-inside", "nan-first", "nan-accuracy", "bool-fraction", "bool-accuracy", "label-none",
+         "nan-threshold", "bool-threshold"],
+)
+def test_curves_reject_nan_bools_and_non_string_labels(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_bench_stats_fps_is_the_reciprocal_of_mean_latency():
+    stats = bench_fps(lambda _: None, warmup=0, iters=50, inputs=[0])
+    assert stats.fps == 1.0 / stats.mean_latency
+    assert BenchStats(0, 4, 0.25).fps == 4.0
+
+
+def test_bench_per_iter_cap_bounds_the_samples(monkeypatch):
+    monkeypatch.setattr(harness, "PER_ITER_CAP", 3)
+    stats = bench_fps(lambda _: None, warmup=0, iters=10, inputs=[0])
+    assert stats.timed_iters == 10 and len(stats.per_iter) == 3
+
+
+def test_synth_scene_attempt_budget_is_per_person(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_ATTEMPTS_PER_BLOB", 5)
+    with pytest.raises(ValueError, match="after 60 attempts"):
+        synth_scene(12, 20, 20, blob_sigma=2.0, min_sep=30.0, seed=0)

@@ -265,3 +265,31 @@ def test_maed_raises_when_the_score_overflows():
     assert maed([[(0.5, 0.5)]], [[]], cfg) == 1e308
     with pytest.raises(ValueError, match="penalty 1e\\+308"):
         maed([[(0.1, 0.1), (0.2, 0.2)]], [[]], cfg)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"accuracy": math.nan},
+        {"accuracy": 1.5},
+        {"accuracy": True},
+        {"accuracy": "0.5"},
+        {"mse": -1},
+        {"mse": math.inf},
+        {"mae": math.nan},
+        {"mae": 10**400},
+        {"n": 0},
+        {"n": 2.0},
+        {"n": True},
+        {"per_class": {1: (7, 1)}},
+        {"per_class": {1: (1.0, "q")}},
+        {"per_class": {1: (1.0, -1)}},
+        {"per_class": {-1: (1.0, 1)}},
+        {"per_class": {True: (1.0, 1)}},
+        {"per_class": {1: (False, 1)}},
+    ],
+)
+def test_metrics_report_rejects_values_no_count_can_give(fields):
+    args = {"accuracy": 0.5, "mse": 0.5, "mae": 0.5, "n": 2, "per_class": None, **fields}
+    with pytest.raises(ValueError):
+        MetricsReport(**args)

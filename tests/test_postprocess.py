@@ -11,6 +11,7 @@ from ircount import postprocess
 from ircount.corpus import BoundingBox, CountLabel, Dataset, ImageRecord
 from ircount.postprocess import (
     ThresholdCurve,
+    best_point,
     confidence_filter,
     count_pairs_from_datasets,
     default_grid,
@@ -182,13 +183,11 @@ def test_nms_threshold_one_keeps_duplicates():
 
 
 def test_threshold_curve_invariants():
-    curve = ThresholdCurve.from_sweep([0.0, 0.5, 1.0], [0.25, 0.75, 0.75])
+    curve = ThresholdCurve([0.0, 0.5, 1.0], [0.25, 0.75, 0.75])
     assert curve.best_threshold == 0.5
     assert curve.best_accuracy == 0.75
     with pytest.raises(ValueError):
-        ThresholdCurve((0.0, 0.5), (0.1, 0.9), 0.0, 0.9)
-    with pytest.raises(ValueError):
-        ThresholdCurve((0.5, 0.2), (0.1, 0.9), 0.2, 0.9)
+        ThresholdCurve((0.5, 0.2), (0.1, 0.9))
 
 
 def test_default_grid_resolution():
@@ -333,3 +332,23 @@ def test_count_pairs_from_datasets_aligns_by_id():
     )
     pairs = count_pairs_from_datasets(gt, pred)
     assert [(p.id, p.gt, p.pred) for p in pairs] == [("a", 2, 2), ("b", 0, 1)]
+
+
+def test_best_point_takes_the_smallest_x_at_the_highest_accuracy():
+    assert best_point((0.1, 0.2, 0.3, 0.4), (0.5, 0.9, 0.2, 0.9)) == (0.2, 0.9)
+    assert best_point((0.5,), (0.0,)) == (0.5, 0.0)
+    curve = ThresholdCurve((0.0, 0.25, 0.5), (0.75, 0.75, 0.5))
+    assert (curve.best_threshold, curve.best_accuracy) == best_point(curve.thresholds, curve.accuracies) == (0.0, 0.75)
+
+
+@pytest.mark.parametrize("grid", [[], [-0.1, 0.5], [0.5, 1.5], [0.5, float("nan")], [0.5, 0.5]])
+def test_tune_threshold_grid_is_checked_by_the_curve(grid):
+    gt, pred = detector_fixture()
+    with pytest.raises(ValueError, match="thresholds"):
+        tune_threshold(pred, gt, grid)
+
+
+def test_tune_threshold_sorts_the_grid():
+    gt, pred = detector_fixture()
+    grid = default_grid(0.05)
+    assert tune_threshold(pred, gt, grid[::-1]) == tune_threshold(pred, gt, grid)
