@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-Point = object  # anything with .cx/.cy, or a (x, y) pair
+Point = object  # anything with .cx/.cy, or a (x, y) pair; a set of them may also be a (k, >= 2) array of rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +135,13 @@ def _augment(c: np.ndarray, v: np.ndarray, col4row: list[int], row4col: list[int
             break
 
 
-def _coords(points: Sequence[Point]) -> np.ndarray:
-    xy = np.array(
-        [(p.cx, p.cy) if hasattr(p, "cx") else (p[0], p[1]) for p in points], dtype=np.float64
-    ).reshape(-1, 2)
+def _coords(points: Sequence[Point] | np.ndarray) -> np.ndarray:
+    if isinstance(points, np.ndarray) and points.ndim == 2:
+        xy = np.asarray(points[:, :2], dtype=np.float64)  # rows (x, y, ...), as ImageRecord arrays are
+    else:
+        xy = np.array(
+            [(p.cx, p.cy) if hasattr(p, "cx") else (p[0], p[1]) for p in points], dtype=np.float64
+        ).reshape(-1, 2)
     if xy.size and not (xy.min() >= 0.0 and xy.max() <= 1.0):
         bad = ~((xy >= 0.0) & (xy <= 1.0)).all(axis=1)
         x, y = xy[np.argmax(bad)].tolist()
@@ -149,8 +152,8 @@ def _coords(points: Sequence[Point]) -> np.ndarray:
 def _distance_matrix(gt: Sequence[Point], pred: Sequence[Point]) -> np.ndarray:
     """``(len(gt), len(pred))`` Euclidean distances, each bit-identical to
     ``math.hypot(gx - px, gy - py)`` (``np.hypot`` rounds differently)."""
-    xy = _coords([*pred, *gt])  # predictions first, so they are checked first
-    p, g = xy[: len(pred)], xy[len(pred) :]
+    p = _coords(pred)  # predictions first, so they are checked first
+    g = _coords(gt)
     dx = (g[:, None, 0] - p[None, :, 0]).ravel().tolist()
     dy = (g[:, None, 1] - p[None, :, 1]).ravel().tolist()
     dist = np.fromiter(map(math.hypot, dx, dy), dtype=np.float64, count=len(dx))

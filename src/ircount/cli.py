@@ -18,6 +18,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from ircount import camloc, corpus, harness, metrics, postprocess, preprocess
 from ircount._fsutil import write_text_atomic
 from ircount._gridio import GridFormatError, checked_grid, read_grid
@@ -137,11 +139,12 @@ def _load_json(path: str) -> object:
         raise ValueError(f"cannot parse {path}: {exc}") from None
 
 
-def _points_of(rec: ImageRecord) -> Sequence[corpus.PointAnnotation | corpus.BoundingBox]:
-    if rec.points is not None:
-        return rec.points
-    if rec.boxes is not None:
-        return rec.boxes
+def _points_of(rec: ImageRecord) -> np.ndarray:
+    """The record's point rows, else its box rows: (cx, cy) lead both."""
+    if rec.point_array is not None:
+        return rec.point_array
+    if rec.box_array is not None:
+        return rec.box_array
     raise ValueError(f"record {rec.id!r} carries no localizable tier (points or boxes)")
 
 
@@ -262,11 +265,9 @@ def _cmd_convert(args: argparse.Namespace) -> None:
     records = []
     for rec in ds.records:
         if args.to == "points":
-            if rec.boxes is None:
+            if rec.box_array is None:
                 raise ValueError(f"{args.infile}: record {rec.id!r} has no boxes to convert")
-            records.append(
-                replace(rec, boxes=None, points=tuple(corpus.boxes_to_points(rec.boxes)))
-            )
+            records.append(replace(rec, boxes=None, points=rec.box_array[:, [0, 1, 4]]))
         else:  # count
             records.append(
                 replace(rec, boxes=None, points=None, count=corpus.annotation_to_count(rec))

@@ -8,11 +8,14 @@ subset of the tiers; converters derive weaker tiers from stronger ones.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from ircount._fsutil import write_text_atomic
 
@@ -76,6 +79,90 @@ class CountLabel:
             raise ValueError(f"count must be non-negative, got {self.count}")
 
 
+def _rows_of(entries: object, n: int) -> np.ndarray | None:
+    """``entries`` as a ``(k, n)`` float64 array when numpy reads them as k
+    rows of n ints or floats, else None: strings, nulls, ragged or nested
+    rows and ints too large for a float all fail. Bools read as numbers
+    here, so finding them is the caller's job."""
+    try:
+        rows = np.array(entries)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if rows.shape == (0,):
+        return np.empty((0, n))
+    if rows.dtype.kind not in "fi" or rows.ndim != 2 or rows.shape[1] != n:
+        return None
+    return rows.astype(np.float64, copy=False)
+
+
+def _rows_ok(rows: np.ndarray, cls: type[BoundingBox | PointAnnotation]) -> bool:
+    """Whether ``cls`` accepts every row: the bulk form of the range checks
+    in ``BoundingBox`` and ``PointAnnotation``. Every value lies in [0, 1]
+    (a NaN fails, as min and max pass it on), and a box's w and h are
+    above 0."""
+    if not len(rows):
+        return True
+    if not (rows.min() >= 0.0 and rows.max() <= 1.0):
+        return False
+    return cls is not BoundingBox or rows[:, 2:4].min() > 0.0
+
+
+class _Tier:
+    """An ``ImageRecord`` tier field, read as a tuple of items.
+
+    The record keeps the tier as a read-only float64 array (``<kind>_array``);
+    on first read this builds the items from it and keeps them in the
+    instance, which later reads find first. Read from the class, it gives
+    the field's default, None.
+    """
+
+    def __init__(self, cls: type[BoundingBox | PointAnnotation], kind: str) -> None:
+        self.cls, self.kind, self.array, self.n = cls, kind, f"{kind}_array", len(cls.__match_args__)
+        self.fields = operator.attrgetter(*cls.__match_args__)
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, rec: ImageRecord | None, owner: type | None = None) -> tuple | None:
+        if rec is None:
+            return None
+        rows = rec.__dict__[self.array]
+        items = None if rows is None else tuple(self.cls(*row) for row in rows.tolist())
+        rec.__dict__[self.name] = items
+        return items
+
+    def store(self, rec: ImageRecord) -> None:
+        """Check the value given to the constructor and keep it as rows."""
+        value = rec.__dict__[self.name]
+        if value is None:
+            rows = None
+        elif isinstance(value, np.ndarray):
+            rows = _rows_of(value, self.n)
+            if rows is None:
+                raise ValueError(
+                    f"record {rec.id!r}: {self.name} array must be (k, {self.n}) numbers, "
+                    f"got shape {value.shape} of {value.dtype}"
+                )
+            if not _rows_ok(rows, self.cls):
+                for row in rows.tolist():
+                    self.cls(*row)  # raises the first bad row's own message
+            del rec.__dict__[self.name]  # built on first read
+        else:
+            try:
+                items = tuple(value)
+            except TypeError:
+                raise ValueError(
+                    f"record {rec.id!r}: {self.name} must be {self.cls.__name__} instances or an array, got {value!r}"
+                ) from None
+            if operator.countOf(map(type, items), self.cls) != len(items):
+                raise ValueError(f"record {rec.id!r}: {self.name} must all be {self.cls.__name__} instances")
+            rec.__dict__[self.name] = items
+            rows = np.array(list(map(self.fields, items)), dtype=np.float64).reshape(-1, self.n)
+        if rows is not None:
+            rows.flags.writeable = False
+        rec.__dict__[self.array] = rows
+
+
 @dataclass(frozen=True)
 class ImageRecord:
     """One image with any subset of the annotation tiers.
@@ -83,35 +170,58 @@ class ImageRecord:
     At least one tier must be present, each made of its own annotation
     type. When an explicit count coexists with boxes or points, the
     cardinalities must agree.
+
+    A tier is given as a sequence of items or as an array of their
+    fields, one row per item. Either way the record stores it as a
+    read-only float64 array, ``box_array`` of shape (k, 5) and
+    ``point_array`` of shape (k, 3) (None when the tier is absent), which
+    the kernels read. ``boxes`` and ``points`` give the items as a tuple,
+    built on first read and kept.
     """
 
     id: str
     width: int
     height: int
-    boxes: tuple[BoundingBox, ...] | None = None
-    points: tuple[PointAnnotation, ...] | None = None
+    boxes: tuple[BoundingBox, ...] | None = _Tier(BoundingBox, "box")  # type: ignore[assignment]
+    points: tuple[PointAnnotation, ...] | None = _Tier(PointAnnotation, "point")  # type: ignore[assignment]
     count: CountLabel | None = None
     frame_path: str | None = None
+    box_array: np.ndarray | None = field(init=False, repr=False, compare=False)
+    point_array: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.boxes is not None:
-            object.__setattr__(self, "boxes", tuple(self.boxes))
-        if self.points is not None:
-            object.__setattr__(self, "points", tuple(self.points))
+        for tier in _TIERS:
+            tier.store(self)
+        self._check()
+
+    @classmethod
+    def _of_rows(cls, **fields: object) -> ImageRecord:
+        """A record from every field, with ``box_array`` and ``point_array``
+        in place of the tiers: read-only rows that already passed
+        ``_rows_ok``, as ``load_manifest`` checks a whole file at once."""
+        rec = object.__new__(cls)
+        rec.__dict__.update(fields)
+        rec._check()
+        return rec
+
+    def _check(self) -> None:
         if type(self.id) is not str or not self.id:
             raise ValueError(f"record id must be a non-empty string, got {self.id!r}")
         _check_dims(self.width, self.height)
         if self.frame_path is not None and type(self.frame_path) is not str:
             raise ValueError(f"frame_path must be a string or None, got {self.frame_path!r}")
-        if self.boxes is None and self.points is None and self.count is None:
+        if self.box_array is None and self.point_array is None and self.count is None:
             raise ValueError(f"record {self.id!r}: no annotation tier present")
-        if self.count is not None and type(self.count) is not CountLabel:
+        if self.count is None:
+            return
+        if type(self.count) is not CountLabel:
             raise ValueError(f"record {self.id!r}: count must be a CountLabel, got {self.count!r}")
-        for kind, tier, cls in (("boxes", self.boxes, BoundingBox), ("points", self.points, PointAnnotation)):
-            if tier is not None and operator.countOf(map(type, tier), cls) != len(tier):
-                raise ValueError(f"record {self.id!r}: {kind} must all be {cls.__name__} instances")
-            if self.count is not None and tier is not None and self.count.count != len(tier):
-                raise ValueError(f"record {self.id!r}: count {self.count.count} != {len(tier)} {kind}")
+        for kind, rows in (("boxes", self.box_array), ("points", self.point_array)):
+            if rows is not None and self.count.count != len(rows):
+                raise ValueError(f"record {self.id!r}: count {self.count.count} != {len(rows)} {kind}")
+
+
+_TIERS: tuple[_Tier, _Tier] = (ImageRecord.__dict__["boxes"], ImageRecord.__dict__["points"])
 
 
 @dataclass(frozen=True)
@@ -170,10 +280,10 @@ def annotation_to_count(record: ImageRecord) -> CountLabel:
     """
     if record.count is not None:
         return record.count
-    if record.points is not None:
-        return CountLabel(len(record.points))
-    if record.boxes is not None:
-        return CountLabel(len(record.boxes))
+    if record.point_array is not None:
+        return CountLabel(len(record.point_array))
+    if record.box_array is not None:
+        return CountLabel(len(record.box_array))
     raise ValueError(f"record {record.id!r}: no annotation tier present")
 
 
@@ -197,10 +307,11 @@ def split_dataset(ds: Dataset, train_count: int, seed: int) -> tuple[Dataset, Da
 _JSON_NUMBERS = frozenset((int, float))  # the types json.loads gives numbers; not bool or str
 
 
-def _parse_entry(
+def _entry_row(
     raw: object, kind: str, cls: type[BoundingBox | PointAnnotation], width: int, height: int, pixel: bool
-) -> BoundingBox | PointAnnotation:
-    """Build a box or point from its JSON entry: the class's fields, in order.
+) -> list[float]:
+    """One box or point entry, checked on its own: the floats of the
+    class's fields, in order. Raises the message that names what is wrong.
 
     Pixel coordinates divide even positions by the width and odd ones by
     the height; the last position is the score and is never divided.
@@ -214,22 +325,50 @@ def _parse_entry(
     if pixel:
         for i in range(len(values) - 1):
             values[i] /= height if i % 2 else width
-    return cls(*values)
+    cls(*values)
+    return values
 
 
-def _parse_record(raw: dict, pixel: bool, max_count: int) -> ImageRecord:
-    width, height = raw.get("width"), raw.get("height")
-    _check_dims(width, height)  # pixel entries divide by them
-    boxes = points = count = None
-    if "boxes" in raw:
-        boxes = tuple(_parse_entry(b, "box", BoundingBox, width, height, pixel) for b in raw["boxes"])
-    if "points" in raw:
-        points = tuple(_parse_entry(p, "point", PointAnnotation, width, height, pixel) for p in raw["points"])
-    if "count" in raw:
-        count = CountLabel(raw["count"])
-        if count.count > max_count:
-            raise ValueError(f"count {count.count} exceeds max_count {max_count}")
-    return ImageRecord(raw.get("id"), width, height, boxes, points, count, raw.get("frame_path"))
+def _tier_rows(
+    tier: _Tier, entries: list, spans: dict[int, slice], raws: list, pixel: bool, bools: bool, errors: dict[int, str]
+) -> np.ndarray:
+    """Every entry of one tier in the file as one read-only ``(k, n)`` array;
+    ``spans`` gives each record's slice of ``entries``.
+
+    The fast path reads all entries with one ``np.array`` call and checks
+    them in bulk. If anything there fails (a type numpy does not read as a
+    plain number, a bool when the file text has one, a value out of
+    range), each entry is checked on its own, and the first bad entry of a
+    record becomes its error. A bad box outranks any other error of its
+    record, as boxes are checked first; a bad point outranks none. The
+    rows of a record with a bad entry are NaN.
+    """
+    n = tier.n
+    rows = _rows_of(entries, n)
+    if rows is not None and pixel and len(rows):
+        try:
+            scale = np.array([(raws[i]["width"], raws[i]["height"]) for i in spans], dtype=np.float64)
+        except OverflowError:
+            rows = None
+        else:
+            scale = np.repeat(scale, [span.stop - span.start for span in spans.values()], axis=0)
+            rows[:, :-1:2] /= scale[:, :1]
+            rows[:, 1:-1:2] /= scale[:, 1:]
+    if rows is None or not _rows_ok(rows, tier.cls) or (bools and any(bool in map(type, e) for e in entries)):
+        checked = []
+        for i, span in spans.items():
+            width, height = raws[i]["width"], raws[i]["height"]
+            try:
+                checked += [_entry_row(raw, tier.kind, tier.cls, width, height, pixel) for raw in entries[span]]
+            except (ValueError, OverflowError) as exc:
+                if tier.name == "boxes":
+                    errors[i] = str(exc)
+                else:
+                    errors.setdefault(i, str(exc))
+                checked += [[math.nan] * n] * (span.stop - span.start)
+        rows = np.array(checked, dtype=np.float64).reshape(-1, n)
+    rows.flags.writeable = False
+    return rows
 
 
 def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
@@ -238,10 +377,14 @@ def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
     Record-level violations are collected and reported together, each
     naming the offending record id. ``max_count`` bounds explicit count
     labels only; derived cardinalities are not restricted.
+
+    Each tier's entries in the whole file are read into one array and
+    checked at once; every record keeps views of those arrays.
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise ManifestError(f"cannot parse manifest {path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
@@ -251,41 +394,81 @@ def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
         raise ManifestError(f"{path}: coords must be 'normalized' or 'pixel', got {coords!r}")
     pixel = coords == "pixel"
 
-    records: list[ImageRecord] = []
-    errors: list[str] = []
-    seen: set[str] = set()
-    for i, raw in enumerate(doc["records"]):
-        label = raw.get("id", f"#{i}") if isinstance(raw, dict) else f"#{i}"
+    raws = doc["records"]
+    errors: dict[int, str] = {}
+    # Pass 1: each record's dimensions, and its entries gathered into one
+    # list per tier, with the record's slice of that list.
+    boxes: list = []
+    points: list = []
+    box_spans: dict[int, slice] = {}
+    point_spans: dict[int, slice] = {}
+    for i, raw in enumerate(raws):
         try:
             if not isinstance(raw, dict):
                 raise ValueError(f"record entry must be an object, got {raw!r}")
-            rec = _parse_record(raw, pixel, max_count)
+            _check_dims(raw.get("width"), raw.get("height"))  # pixel entries divide by them
+            # extend() raises TypeError for a tier that is not iterable.
+            if "boxes" in raw:
+                start = len(boxes)
+                boxes.extend(raw["boxes"])
+                box_spans[i] = slice(start, len(boxes))
+            if "points" in raw:
+                start = len(points)
+                points.extend(raw["points"])
+                point_spans[i] = slice(start, len(points))
+        except (ValueError, TypeError) as exc:
+            errors[i] = str(exc)
+    bools = "true" in text or "false" in text
+    box_rows = _tier_rows(_TIERS[0], boxes, box_spans, raws, pixel, bools, errors)
+    point_rows = _tier_rows(_TIERS[1], points, point_spans, raws, pixel, bools, errors)
+
+    # Pass 2: counts and the record checks, on views of the tier arrays.
+    records: list[ImageRecord] = []
+    seen: set[str] = set()
+    for i, raw in enumerate(raws):
+        if i in errors:
+            continue
+        try:
+            count = None
+            if "count" in raw:
+                count = CountLabel(raw["count"])
+                if count.count > max_count:
+                    raise ValueError(f"count {count.count} exceeds max_count {max_count}")
+            box_span, point_span = box_spans.get(i), point_spans.get(i)
+            rec = ImageRecord._of_rows(
+                id=raw.get("id"),
+                width=raw["width"],
+                height=raw["height"],
+                box_array=None if box_span is None else box_rows[box_span],
+                point_array=None if point_span is None else point_rows[point_span],
+                count=count,
+                frame_path=raw.get("frame_path"),
+            )
             if rec.id in seen:
                 raise ValueError("duplicate record id")
             seen.add(rec.id)
             records.append(rec)
-        except (ValueError, TypeError, OverflowError) as exc:
-            errors.append(f"record {label!r}: {exc}")
+        except ValueError as exc:
+            errors[i] = str(exc)
     if errors:
-        raise ManifestError(
-            f"{path}: {len(errors)} invalid record(s)\n" + "\n".join(errors)
-        )
+        lines = []
+        for i in sorted(errors):
+            raw = raws[i]
+            label = raw.get("id", f"#{i}") if isinstance(raw, dict) else f"#{i}"
+            lines.append(f"record {label!r}: {errors[i]}")
+        raise ManifestError(f"{path}: {len(errors)} invalid record(s)\n" + "\n".join(lines))
     try:
         return Dataset(doc.get("name"), tuple(records))
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
 
 
-_BOX_ENTRY = operator.attrgetter(*BoundingBox.__match_args__)
-_POINT_ENTRY = operator.attrgetter(*PointAnnotation.__match_args__)
-
-
 def _record_to_dict(rec: ImageRecord) -> dict:
     out: dict = {"id": rec.id, "width": rec.width, "height": rec.height}
-    if rec.boxes is not None:
-        out["boxes"] = list(map(_BOX_ENTRY, rec.boxes))
-    if rec.points is not None:
-        out["points"] = list(map(_POINT_ENTRY, rec.points))
+    if rec.box_array is not None:
+        out["boxes"] = rec.box_array.tolist()
+    if rec.point_array is not None:
+        out["points"] = rec.point_array.tolist()
     if rec.count is not None:
         out["count"] = rec.count.count
     if rec.frame_path is not None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -56,13 +57,17 @@ class ThresholdCurve:
         object.__setattr__(self, "accuracies", tuple(self.accuracies))
         check_curve("thresholds", self.thresholds, self.accuracies)
 
+    @cached_property
+    def _best(self) -> tuple[float, float]:
+        return best_point(self.thresholds, self.accuracies)
+
     @property
     def best_threshold(self) -> float:
-        return best_point(self.thresholds, self.accuracies)[0]
+        return self._best[0]
 
     @property
     def best_accuracy(self) -> float:
-        return max(self.accuracies)
+        return self._best[1]
 
 
 _NMS_BLOCK = 512  # rows of the pairwise overlap matrix built at once
@@ -96,12 +101,15 @@ def confidence_filter(boxes: Sequence[BoundingBox], conf: float) -> list[Boundin
     return [b for b in boxes if b.score >= conf]
 
 
-def nms(boxes: Sequence[BoundingBox], iou_thresh: float) -> list[BoundingBox]:
+def nms(boxes: Sequence[BoundingBox] | np.ndarray, iou_thresh: float) -> list[BoundingBox] | np.ndarray:
     """Greedy non-maximum suppression.
 
     Boxes are visited by descending score (ties by original index); a box
     is kept unless it overlaps an already-kept box with IoU strictly above
-    the threshold. The kept boxes come back in their original input order.
+    the threshold. The kept boxes come back in their original input order:
+    as a list of the given boxes, or, given a ``(k, 5)`` array of
+    (cx, cy, w, h, score) rows such as ``ImageRecord.box_array``, as an
+    array of the kept rows.
 
     Overlaps are computed on arrays with the same corner and union
     arithmetic as :func:`iou`, so every IoU is bit-identical to it. At
@@ -109,7 +117,10 @@ def nms(boxes: Sequence[BoundingBox], iou_thresh: float) -> list[BoundingBox]:
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"IoU threshold must be in [0, 1], got {iou_thresh}")
-    arr = np.array([(b.cx, b.cy, b.w, b.h, b.score) for b in boxes], dtype=np.float64).reshape(-1, 5)
+    if isinstance(boxes, np.ndarray):
+        arr = np.asarray(boxes, dtype=np.float64).reshape(-1, 5)
+    else:
+        arr = np.array([(b.cx, b.cy, b.w, b.h, b.score) for b in boxes], dtype=np.float64).reshape(-1, 5)
     order = np.argsort(-arr[:, 4], kind="stable")
     # cx, cy, w, h as contiguous rows, boxes in visiting order: a block of
     # boxes is then a slice, and corners and areas use iou()'s arithmetic.
@@ -137,7 +148,8 @@ def nms(boxes: Sequence[BoundingBox], iou_thresh: float) -> list[BoundingBox]:
         for r in np.flatnonzero(over.any(axis=1)).tolist():
             if not removed[start + r]:
                 removed |= over[r]
-    return [boxes[i] for i in np.sort(order[~removed]).tolist()]
+    kept = np.sort(order[~removed])
+    return arr[kept] if isinstance(boxes, np.ndarray) else [boxes[i] for i in kept.tolist()]
 
 
 def default_grid(step: float = 0.001) -> list[float]:
@@ -179,10 +191,10 @@ def tune_threshold(
     los: list[float] = []
     his: list[float] = []
     for gt_rec, pred_rec in pairs:
-        if pred_rec.boxes is None:
+        if pred_rec.box_array is None:
             raise ValueError(f"prediction record {gt_rec.id!r} carries no boxes tier")
         target = annotation_to_count(gt_rec).count
-        scores = sorted((b.score for b in nms(pred_rec.boxes, nms_iou)), reverse=True)
+        scores = sorted(nms(pred_rec.box_array, nms_iou)[:, 4].tolist(), reverse=True)
         if target > len(scores):
             continue
         his.append(scores[target - 1] if target > 0 else np.inf)

@@ -1,13 +1,25 @@
 """Slow, obviously-correct reference implementations used only by tests."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from ircount.assignment import MatchResult
 from ircount.camloc import Component
-from ircount.corpus import aligned_records, annotation_to_count
+from ircount.corpus import (
+    BoundingBox,
+    CountLabel,
+    Dataset,
+    ImageRecord,
+    ManifestError,
+    PointAnnotation,
+    _check_dims,
+    aligned_records,
+    annotation_to_count,
+)
 from ircount.metrics import CountPair, count_metrics
 from ircount.postprocess import apply_detector_postprocessing, iou
 
@@ -216,3 +228,90 @@ def union_find_components(mask):
         (frozenset(g) for g in groups.values()),
         key=lambda g: (min(y for _, y in g), min(x for x, _ in g)),
     )
+
+
+# The manifest loader that checked and built one item per box or point
+# entry. load_manifest now reads each tier of a file into one array and
+# checks it in bulk; this reference must give equal records or the same
+# ManifestError message.
+
+_JSON_NUMBERS = frozenset((int, float))  # the types json.loads gives numbers; not bool or str
+
+
+def _parse_entry(
+    raw: object, kind: str, cls: type[BoundingBox | PointAnnotation], width: int, height: int, pixel: bool
+) -> BoundingBox | PointAnnotation:
+    """Build a box or point from its JSON entry: the class's fields, in order.
+
+    Pixel coordinates divide even positions by the width and odd ones by
+    the height; the last position is the score and is never divided.
+    """
+    fields = cls.__match_args__
+    if not isinstance(raw, (list, tuple)) or len(raw) != len(fields):
+        raise ValueError(f"{kind} must be [{', '.join(fields)}], got {raw!r}")
+    if not _JSON_NUMBERS.issuperset(map(type, raw)):
+        raise ValueError(f"{kind} values must be numbers, got {raw!r}")
+    values = list(map(float, raw))
+    if pixel:
+        for i in range(len(values) - 1):
+            values[i] /= height if i % 2 else width
+    return cls(*values)
+
+
+def _parse_record(raw: dict, pixel: bool, max_count: int) -> ImageRecord:
+    width, height = raw.get("width"), raw.get("height")
+    _check_dims(width, height)  # pixel entries divide by them
+    boxes = points = count = None
+    if "boxes" in raw:
+        boxes = tuple(_parse_entry(b, "box", BoundingBox, width, height, pixel) for b in raw["boxes"])
+    if "points" in raw:
+        points = tuple(_parse_entry(p, "point", PointAnnotation, width, height, pixel) for p in raw["points"])
+    if "count" in raw:
+        count = CountLabel(raw["count"])
+        if count.count > max_count:
+            raise ValueError(f"count {count.count} exceeds max_count {max_count}")
+    return ImageRecord(raw.get("id"), width, height, boxes, points, count, raw.get("frame_path"))
+
+
+def per_entry_load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
+    """Load and validate a JSON manifest.
+
+    Record-level violations are collected and reported together, each
+    naming the offending record id. ``max_count`` bounds explicit count
+    labels only; derived cardinalities are not restricted.
+    """
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ManifestError(f"cannot parse manifest {path}: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
+        raise ManifestError(f"{path}: manifest must be an object with a 'records' list")
+    coords = doc.get("coords", "normalized")
+    if coords not in ("normalized", "pixel"):
+        raise ManifestError(f"{path}: coords must be 'normalized' or 'pixel', got {coords!r}")
+    pixel = coords == "pixel"
+
+    records: list[ImageRecord] = []
+    errors: list[str] = []
+    seen: set[str] = set()
+    for i, raw in enumerate(doc["records"]):
+        label = raw.get("id", f"#{i}") if isinstance(raw, dict) else f"#{i}"
+        try:
+            if not isinstance(raw, dict):
+                raise ValueError(f"record entry must be an object, got {raw!r}")
+            rec = _parse_record(raw, pixel, max_count)
+            if rec.id in seen:
+                raise ValueError("duplicate record id")
+            seen.add(rec.id)
+            records.append(rec)
+        except (ValueError, TypeError, OverflowError) as exc:
+            errors.append(f"record {label!r}: {exc}")
+    if errors:
+        raise ManifestError(
+            f"{path}: {len(errors)} invalid record(s)\n" + "\n".join(errors)
+        )
+    try:
+        return Dataset(doc.get("name"), tuple(records))
+    except ValueError as exc:
+        raise ManifestError(f"{path}: {exc}") from exc

@@ -15,7 +15,7 @@ import pytest
 from conftest import make_box
 from ircount import Grid, camloc, corpus, harness, preprocess
 from ircount.cli import _parse_fractions, emit_plot, run
-from ircount.corpus import BoundingBox, CountLabel, Dataset, ImageRecord, save_manifest
+from ircount.corpus import BoundingBox, CountLabel, Dataset, ImageRecord, PointAnnotation, save_manifest
 from ircount.harness import FractionCurve
 from ircount.postprocess import ThresholdCurve
 
@@ -685,3 +685,49 @@ def test_eval_locate_rejects_non_finite_penalty(tmp_path, capsys, penalty):
     assert run(argv) == 1
     assert "penalty" in capsys.readouterr().err
     assert not (tmp_path / "maed.json").exists()
+
+
+def write_box_manifest(path, name, rng, n_images, score=None, count=False):
+    """A manifest of ``n_images`` records with random boxes, the points at
+    their centers, and (with ``count``) the count, written as plain JSON."""
+    records = []
+    for i in range(n_images):
+        boxes = [
+            [rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.3),
+             rng.random() if score is None else score]
+            for _ in range(rng.randint(0, 6))
+        ]
+        rec = {"id": f"img-{i}", "width": 64, "height": 48, "boxes": boxes}
+        if count:
+            rec.update(points=[[b[0], b[1], b[4]] for b in boxes], count=len(boxes))
+        records.append(rec)
+    path.write_text(json.dumps({"name": name, "records": records}), encoding="utf-8")
+    return str(path)
+
+
+def test_manifest_commands_build_no_box_or_point_objects(tmp_path, monkeypatch, capsys):
+    # The CLI's manifest paths read the tier arrays: building one item per
+    # box or point is the per-entry cost that load_manifest no longer pays.
+    rng = random.Random(11)
+    gt = write_box_manifest(tmp_path / "gt.json", "gt", rng, 12, score=1.0, count=True)
+    pred = write_box_manifest(tmp_path / "pred.json", "pred", rng, 12)
+    built = []
+    for cls in (BoundingBox, PointAnnotation):
+        original = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, original=original: (built.append(self), original(self)))
+    out = str(tmp_path / "out")
+    commands = [
+        ["split", "--manifest", gt, "--train-count", "5", "--seed", "3", "--out-train", f"{out}-a.json", "--out-test", f"{out}-b.json"],
+        ["ablate", "--manifest", gt, "--fractions", "0.5,1.0", "--seed", "3", "--out-dir", f"{out}-ablate"],
+        ["convert", "--in", pred, "--to", "points", "--out", f"{out}-points.json"],
+        ["convert", "--in", pred, "--to", "count", "--out", f"{out}-counts.json"],
+        ["tune-threshold", "--gt", gt, "--pred", pred, "--grid-step", "0.01", "--out", f"{out}-curve.json"],
+        ["eval-locate", "--gt", gt, "--pred", pred],
+        ["eval-locate", "--gt", f"{out}-points.json", "--pred", pred],
+        ["eval-count", "--gt", gt, "--pred", pred],
+    ]
+    for argv in commands:
+        assert run(argv) == 0, (argv, capsys.readouterr().err)
+    assert built == []
+    assert any(rec.points for rec in corpus.load_manifest(f"{out}-points.json").records)
+    assert built  # reading the items builds them, and the guard sees that

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import box_record, count_record, make_box, make_dataset, make_point
 from ircount.corpus import (
     BoundingBox,
@@ -60,6 +62,54 @@ def test_record_cross_tier_count_mismatch_names_record():
         ImageRecord("r7", 64, 64, boxes=(make_box(), make_box()), count=CountLabel(3))
     with pytest.raises(ValueError, match="points"):
         ImageRecord("r8", 64, 64, points=(make_point(),), count=CountLabel(2))
+
+
+@pytest.mark.parametrize("tier, value", [("boxes", 3), ("points", 5)])
+def test_record_rejects_non_iterable_tier_naming_it(tier, value):
+    with pytest.raises(ValueError, match=f"record 'a': {tier} must be"):
+        ImageRecord("a", 8, 8, **{tier: value})
+
+
+def test_record_stores_tiers_as_read_only_arrays():
+    boxes = (make_box(0.25, 0.5, 0.125, 0.25, 0.75), make_box())
+    rec = ImageRecord("a", 8, 8, boxes=boxes, points=(make_point(0.25, 0.5, 0.75), make_point()))
+    assert rec.box_array.dtype == np.float64 and rec.box_array.shape == (2, 5)
+    assert rec.point_array.tolist() == [[0.25, 0.5, 0.75], [0.5, 0.5, 1.0]]
+    assert not rec.box_array.flags.writeable and not rec.point_array.flags.writeable
+    assert rec.boxes == boxes and rec.boxes is rec.boxes
+    assert ImageRecord("b", 8, 8, count=CountLabel(0)).box_array is None
+
+
+def test_record_from_array_equals_record_from_items():
+    rows = np.array([[0.25, 0.5, 0.125, 0.25, 0.75], [0.5, 0.5, 0.1, 0.1, 1.0]])
+    rec = ImageRecord("a", 8, 8, boxes=rows, count=CountLabel(2))
+    twin = ImageRecord("a", 8, 8, boxes=tuple(BoundingBox(*row) for row in rows.tolist()), count=CountLabel(2))
+    rows[0, 0] = 0.0  # the record holds its own copy
+    assert rec.box_array[0, 0] == 0.25
+    assert "boxes" not in rec.__dict__  # items are built on first read
+    assert (rec, hash(rec), repr(rec)) == (twin, hash(twin), repr(twin))
+    assert rec.boxes is rec.boxes
+    assert ImageRecord("p", 8, 8, points=rows[:, [0, 1, 4]]).points == (
+        PointAnnotation(0.0, 0.5, 0.75),
+        PointAnnotation(0.5, 0.5, 1.0),
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (np.array([[0.5, 0.5, 0.0, 0.1, 1.0]]), "box needs"),
+        (np.array([[0.5, 0.5, 0.1, 0.1, np.nan]]), "box needs"),
+        (np.array([[0.5, 0.5, 0.1, 0.1]]), r"\(k, 5\)"),
+        (np.array([0.5, 0.5, 0.1, 0.1, 1.0]), r"\(k, 5\)"),
+        (np.array([["0.5", "0.5", "0.1", "0.1", "1"]]), r"\(k, 5\)"),
+        (np.ones((1, 5), dtype=bool), r"\(k, 5\)"),
+    ],
+    ids=["zero-width", "nan-score", "four-columns", "one-dimensional", "strings", "bools"],
+)
+def test_record_rejects_bad_box_array(rows, message):
+    with pytest.raises(ValueError, match=message):
+        ImageRecord("a", 8, 8, boxes=rows)
 
 
 def test_record_consistent_tiers_ok():
@@ -479,3 +529,99 @@ def test_count_invariant_under_box_to_point_conversion():
     rec_boxes = box_record("r", boxes)
     rec_points = ImageRecord("r", 64, 64, points=tuple(boxes_to_points(boxes)))
     assert annotation_to_count(rec_boxes) == annotation_to_count(rec_points)
+
+
+# Format-shaped manifests for comparing load_manifest's bulk checks with
+# the per-entry reference loader. A quarter of the values are ones that
+# numpy reads differently from json: bools turn into 1.0 and 0.0, numeric
+# strings and nulls change the array's kind, a 400-digit int overflows,
+# and 1e400 (written into the text in place of BIG) parses to inf.
+BIG = "__1e400__"
+ODD_VALUES = (True, False, None, "0.5", "1", 10**400, BIG, float("nan"), -0.0, -1, 2, 2**64)
+
+
+@st.composite
+def shaped_manifests(draw):
+    pixel = draw(st.booleans())
+    clean = draw(st.booleans())  # plain numbers in [0, 1], entries of the right length
+    if clean:  # a zero is a valid coordinate or score, but not a valid size
+        plain = st.floats(0.001, 1.0) | st.just(1)
+        if draw(st.booleans()):
+            plain = st.one_of(*[plain] * 6, st.sampled_from([0, -0.0]))
+    else:
+        plain = st.floats(0, 9 if pixel else 1) | st.integers(0, 2)
+    value = plain if clean else st.one_of(plain, plain, plain, st.sampled_from(ODD_VALUES))
+
+    def tier(n):
+        entry = st.lists(value, min_size=n, max_size=n)
+        if not clean:
+            ragged = st.lists(value, max_size=6) | st.lists(st.lists(value, max_size=2), min_size=n, max_size=n)
+            entry = st.one_of(entry, entry, entry, ragged, st.sampled_from(ODD_VALUES))
+        entries = st.lists(entry, max_size=4)
+        return entries if clean else st.one_of(entries, entries, entries, st.sampled_from([5, "", {}, "ab", None]))
+
+    dims = st.sampled_from([1, 3, 5, 7, 9, 641])
+    if not clean:
+        dims = dims | st.sampled_from([0, True, 2.5, 10**400, 10**30])
+    records = []
+    for j in range(draw(st.integers(0, 5))):
+        rec = {"id": draw(st.sampled_from([f"r{j}", f"r{j}", "r0", "", 7, None])) if not clean else f"r{j}"}
+        rec["width"], rec["height"] = draw(dims), draw(dims)
+        for name, n in (("boxes", 5), ("points", 3)):
+            if draw(st.booleans()):
+                rec[name] = draw(tier(n))
+        sizes = {len(rec[name]) for name in ("boxes", "points") if clean and name in rec}
+        if not clean and draw(st.booleans()):
+            rec["count"] = draw(st.integers(-1, 25) | st.sampled_from(ODD_VALUES))
+        elif clean and (not sizes or len(sizes) == 1 and draw(st.booleans())):
+            rec["count"] = sizes.pop() if sizes else draw(st.integers(0, 20))
+        if draw(st.booleans()):
+            rec["frame_path"] = draw(st.text(max_size=3) if clean else st.text(max_size=3) | st.sampled_from([3, None]))
+        records.append(rec)
+    doc = {"name": "shaped", "coords": "pixel" if pixel else "normalized", "records": records}
+    return json.dumps(doc).replace(f'"{BIG}"', "1e400")
+
+
+def load_outcome(load, path):
+    """The dataset's repr (every item's fields, -0.0 apart from 0.0), or the
+    ManifestError message."""
+    try:
+        return repr(load(path))
+    except ManifestError as exc:
+        return f"ManifestError: {exc}"
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=shaped_manifests())
+def test_bulk_load_agrees_with_per_entry_load(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("shaped") / "m.json"
+    path.write_text(text, encoding="utf-8")
+    assert load_outcome(load_manifest, path) == load_outcome(oracles.per_entry_load_manifest, path)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [{"id": "a", "width": 8, "height": 8, "boxes": [[0.5, 0.5, 0.1, 0.1, 2.0]], "points": 5}],
+        [{"id": "a", "width": 8, "height": 8, "boxes": [[0.5, 0.5, 0.1, 0.1, 1.0]], "points": 5}],
+        [{"id": "a", "width": 8, "height": 8, "boxes": [[0.5, 0.5, 0.1, 0.1, 1.0]], "points": [[1, 2, True]]}],
+        [{"id": "a", "width": 8, "height": 8, "boxes": {}, "points": ""}],
+        [{"id": "a", "width": 10**400, "height": 8, "boxes": []}, {"id": "b", "width": 8, "height": 8, "count": 1}],
+        [{"id": "a", "width": 10**400, "height": 8, "boxes": [[1, 1, 1, 1, 1.0]]}],
+        [{"id": "a", "width": 10**31, "height": 8, "boxes": [[10**30, 1, 10**30, 1, 1.0]]}],
+        [{"id": "a", "width": 8, "height": 8, "boxes": [[0.5, 0.5, 0.1, 0.1, 1.0]], "frame_path": "true"}],
+        [{"id": "a", "width": 8, "height": 8, "boxes": [[0.5, 0.5, 0, 0.1, 1.0]]}],
+        [{"id": "a", "width": 8, "height": 8, "boxes": [[0.5, 0.5, 0.1, -0.0, 1.0]]}],
+        [{"id": "a", "width": 8, "height": 8, "boxes": [[-0.0, 0, 0.1, 0.1, 0]], "points": [[-0.0, 0, 0]]}],
+    ],
+    ids=[
+        "bad-box-outranks-bad-points-tier", "points-tier-not-iterable", "bool-point", "empty-dict-and-string-tiers",
+        "huge-width-without-entries", "huge-width-with-entries", "huge-ints-that-divide-into-range", "true-in-a-string",
+        "zero-width", "negative-zero-height", "zero-coordinates-and-scores",
+    ],
+)
+@pytest.mark.parametrize("coords", ["normalized", "pixel"])
+def test_bulk_load_agrees_with_per_entry_load_on_edge_cases(tmp_path, records, coords):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "edge", "coords": coords, "records": records}))
+    assert load_outcome(load_manifest, path) == load_outcome(oracles.per_entry_load_manifest, path)

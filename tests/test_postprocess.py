@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,6 +189,29 @@ def test_threshold_curve_invariants():
     assert curve.best_accuracy == 0.75
     with pytest.raises(ValueError):
         ThresholdCurve((0.5, 0.2), (0.1, 0.9))
+
+
+def test_threshold_curve_best_point_is_computed_once(monkeypatch):
+    calls = []
+    real = postprocess.best_point
+    monkeypatch.setattr(postprocess, "best_point", lambda xs, ys: calls.append(1) or real(xs, ys))
+    curve = ThresholdCurve((0.0, 0.5, 1.0), (0.25, 0.75, 0.75))
+    twin = ThresholdCurve((0.0, 0.5, 1.0), (0.25, 0.75, 0.75))
+    before = (repr(curve), hash(curve))
+    assert [curve.best_threshold, curve.best_accuracy, curve.best_threshold, curve.best_accuracy] == [0.5, 0.75] * 2
+    assert len(calls) == 1
+    assert curve == twin and (repr(curve), hash(curve)) == before == (repr(twin), hash(twin))
+
+
+def test_nms_on_rows_keeps_the_rows_of_the_kept_boxes():
+    rng = random.Random(5)
+    for n in (0, 1, 7, 40):
+        boxes = random_boxes(rng, n)
+        rows = np.array([(b.cx, b.cy, b.w, b.h, b.score) for b in boxes]).reshape(-1, 5)
+        for thresh in (0.0, 0.3, 0.7, 1.0):
+            kept = nms(rows, thresh)
+            assert isinstance(kept, np.ndarray) and kept.shape[1:] == (5,)
+            assert kept.tolist() == [[b.cx, b.cy, b.w, b.h, b.score] for b in nms(boxes, thresh)]
 
 
 def test_default_grid_resolution():
