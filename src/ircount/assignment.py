@@ -7,9 +7,13 @@ what they cost is up to the scorer (``matching_objective``, ``metrics.maed``).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import random
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,9 +45,6 @@ class CostMatrix:
             raise ValueError(f"costs must be finite and >= 0, got {bad!r}")
         costs.flags.writeable = False
         object.__setattr__(self, "costs", costs)
-
-    def at(self, r: int, c: int) -> float:
-        return float(self.costs[r, c])
 
 
 @dataclass(frozen=True)
@@ -135,29 +136,153 @@ def _augment(c: np.ndarray, v: np.ndarray, col4row: list[int], row4col: list[int
             break
 
 
-def _coords(points: Sequence[Point] | np.ndarray) -> np.ndarray:
+def _xy(points: Sequence[Point] | np.ndarray) -> np.ndarray:
     if isinstance(points, np.ndarray) and points.ndim == 2:
-        xy = np.asarray(points[:, :2], dtype=np.float64)  # rows (x, y, ...), as ImageRecord arrays are
-    else:
-        xy = np.array(
-            [(p.cx, p.cy) if hasattr(p, "cx") else (p[0], p[1]) for p in points], dtype=np.float64
-        ).reshape(-1, 2)
-    if xy.size and not (xy.min() >= 0.0 and xy.max() <= 1.0):
+        return np.asarray(points[:, :2], dtype=np.float64)  # rows (x, y, ...), as ImageRecord arrays are
+    return np.array(
+        [(p.cx, p.cy) if hasattr(p, "cx") else (p[0], p[1]) for p in points], dtype=np.float64
+    ).reshape(-1, 2)
+
+
+def _in_unit(xy: np.ndarray) -> bool:
+    return xy.min(initial=0.0) >= 0.0 and xy.max(initial=0.0) <= 1.0
+
+
+def _check_unit(xy: np.ndarray) -> None:
+    if not _in_unit(xy):
         bad = ~((xy >= 0.0) & (xy <= 1.0)).all(axis=1)
         x, y = xy[np.argmax(bad)].tolist()
         raise ValueError(f"point coordinates must be normalized to [0, 1], got ({x}, {y})")
-    return xy
 
 
-def _distance_matrix(gt: Sequence[Point], pred: Sequence[Point]) -> np.ndarray:
-    """``(len(gt), len(pred))`` Euclidean distances, each bit-identical to
-    ``math.hypot(gx - px, gy - py)`` (``np.hypot`` rounds differently)."""
-    p = _coords(pred)  # predictions first, so they are checked first
-    g = _coords(gt)
-    dx = (g[:, None, 0] - p[None, :, 0]).ravel().tolist()
-    dy = (g[:, None, 1] - p[None, :, 1]).ravel().tolist()
-    dist = np.fromiter(map(math.hypot, dx, dy), dtype=np.float64, count=len(dx))
-    return dist.reshape(len(g), len(p))
+_BATCH_CELLS = 1 << 14  # distances computed together; a batch's temporaries stay in cache
+_VELTKAMP = 134217729.0  # 2**27 + 1: x * this splits x into two 26-bit halves
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = x * _VELTKAMP
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _add_exact(csum: np.ndarray, term: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """``csum + term``, adding its rounding error ``(csum - total) + term``
+    to ``frac`` (exact while ``|csum| >= |term|``); overwrites ``csum``."""
+    total = csum + term
+    np.subtract(csum, total, out=csum)
+    csum += term
+    frac += csum
+    return total
+
+
+def _hypot_port(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``math.hypot`` per element, bit for bit on CPython 3.10 and 3.11.
+
+    Repeats the interpreter's two-argument ``vector_norm`` operation for
+    operation: scale by a power of two, square each part exactly with
+    Veltkamp/Dekker splits, accumulate in a double-length sum, take one
+    square root and apply one differential correction (Borges, arXiv
+    1904.09481). Cells whose larger part is below 2**-1022, which the
+    interpreter rescales separately, go to ``math.hypot`` itself.
+    """
+    ax, ay = np.abs(dx), np.abs(dy)
+    top = np.maximum(ax, ay)
+    csum = np.ones_like(top)
+    frac1, frac2, frac3 = np.zeros_like(top), np.zeros_like(top), np.zeros_like(top)
+    with np.errstate(all="ignore"):  # only the cells left to math.hypot overflow or divide by zero
+        scale = np.ldexp(1.0, -np.frexp(top)[1])
+        for x in (ax * scale, ay * scale):
+            hi, lo = _split(x)
+            csum = _add_exact(csum, hi * hi, frac1)
+            csum = _add_exact(csum, 2.0 * hi * lo, frac2)
+            frac3 += lo * lo
+        h = np.sqrt(csum - 1.0 + (frac1 + frac2 + frac3))
+        hi, lo = _split(h)
+        csum = _add_exact(csum, -hi * hi, frac1)
+        csum = _add_exact(csum, -2.0 * hi * lo, frac2)
+        csum = _add_exact(csum, -lo * lo, frac3)
+        out = (h + (csum - 1.0 + (frac1 + frac2 + frac3)) / (2.0 * h)) / scale
+    tiny = np.flatnonzero(top < sys.float_info.min)
+    if tiny.size:
+        out[tiny] = list(map(math.hypot, dx[tiny].tolist(), dy[tiny].tolist()))
+    return out
+
+
+@functools.cache
+def _port_is_exact() -> bool:
+    """Whether ``_hypot_port`` reproduces this interpreter's ``math.hypot``
+    on a fixed probe set: uniform, near-equal, tiny-against-large and
+    3-decimal-grid pairs, plus every pair of a few edge values."""
+    rng = random.Random(1904)
+    pairs = []
+    for _ in range(512):
+        a, b, eps = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1e-6, 1e-6)
+        grid = (rng.randint(-1000, 1000) / 1000, rng.randint(-1000, 1000) / 1000)
+        pairs += [(a, b), (a, a * (1.0 + eps)), (eps, b), grid]
+    # CPython 3.12's fused Dekker product rounds (0.15, 0.36) differently.
+    edges = (0.0, -0.0, 1.0, 1e-300, 1e-308, 2.0**-1022, 5e-324, 1.0 - 2.0**-53, 0.15, 0.36)
+    pairs += itertools.product(edges, edges)
+    want = np.array([math.hypot(a, b) for a, b in pairs])
+    dx, dy = np.array(pairs).T
+    return bool((_hypot_port(dx, dy).view(np.uint64) == want.view(np.uint64)).all())
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    if _port_is_exact():
+        return _hypot_port(dx, dy)
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64, count=dx.size)
+
+
+def distance_matrices(
+    gt_sets: Sequence[Sequence[Point]], pred_sets: Sequence[Sequence[Point]]
+) -> Iterator[np.ndarray]:
+    """Each image's ``(len(gt), len(pred))`` Euclidean distances, in order.
+
+    Every entry is ``math.hypot(gx - px, gy - py)`` bit for bit
+    (``np.hypot`` rounds differently). Runs of consecutive images are
+    computed together, about ``_BATCH_CELLS`` cells at a time, and their
+    points are checked together. A bad point raises the error that
+    ``match_points`` on its image alone raises: predictions are checked
+    before ground truth, and the first bad image in order is named.
+    """
+    batch: list = []
+    cells = 0
+    for gt, pred in zip(gt_sets, pred_sets):
+        if batch and cells + len(gt) * len(pred) > _BATCH_CELLS:
+            yield from _batch_distances(batch)
+            batch, cells = [], 0
+        batch += (pred, gt)
+        cells += len(gt) * len(pred)
+    if batch:
+        yield from _batch_distances(batch)
+
+
+def _batch_distances(batch: list) -> Iterator[np.ndarray]:
+    """Distance matrices of ``batch``, which alternates pred and gt sets."""
+    xy: list[np.ndarray] = []
+    try:
+        for points in batch:
+            xy.append(_xy(points))
+    except Exception:
+        for rows in xy:  # a bad point in an earlier set is reported first
+            _check_unit(rows)
+        raise
+    p, g = np.concatenate(xy[0::2]), np.concatenate(xy[1::2])
+    if not (_in_unit(p) and _in_unit(g)):
+        for rows in xy:
+            _check_unit(rows)
+    m = np.array([len(rows) for rows in xy[0::2]])
+    n = np.array([len(rows) for rows in xy[1::2]])
+    # Cells run row-major within each image: every gt row meets the m
+    # predictions of its own image, found at this offset from the cell index.
+    m_row = np.repeat(m, n)
+    shift = np.repeat(np.cumsum(m) - m, n) - (np.cumsum(m_row) - m_row)
+    pi = np.arange(m_row.sum()) + np.repeat(shift, m_row)
+    dist = _hypot(np.repeat(g[:, 0], m_row) - p[:, 0].take(pi), np.repeat(g[:, 1], m_row) - p[:, 1].take(pi))
+    start = 0
+    for rows, cols in zip(n.tolist(), m.tolist()):
+        yield dist[start : start + rows * cols].reshape(rows, cols)
+        start += rows * cols
 
 
 def matching_objective(result: MatchResult, penalty: float) -> float:
@@ -173,9 +298,15 @@ def matching_objective(result: MatchResult, penalty: float) -> float:
     return total
 
 
-def match_points(gt: Sequence[Point], pred: Sequence[Point]) -> MatchResult:
+def match_points(
+    gt: Sequence[Point], pred: Sequence[Point], *, distances: np.ndarray | None = None
+) -> MatchResult:
     """Pair every point of the smaller set with a distinct point of the
     larger one at the least total Euclidean distance.
+
+    ``distances`` is the sets' ``(len(gt), len(pred))`` matrix when the
+    caller already has it from ``distance_matrices``; by default it is
+    computed here, the same way.
 
     The distance matrix is padded to a max(n, m) square with its largest
     entry and solved exactly. Every perfect assignment of that square uses
@@ -183,10 +314,15 @@ def match_points(gt: Sequence[Point], pred: Sequence[Point]) -> MatchResult:
     which pairs win. Assignments to padding become unmatched counts.
     """
     n, m = len(gt), len(pred)
+    if distances is None:
+        dist = next(distance_matrices([gt], [pred]))
+    elif np.shape(distances) == (n, m):
+        dist = distances
+    else:
+        raise ValueError(f"distances must have shape {(n, m)}, got {np.shape(distances)}")
     size = max(n, m)
     if size == 0:
         return MatchResult((), 0, 0)
-    dist = _distance_matrix(gt, pred)
     grid = np.full((size, size), dist.max(initial=0.0))
     grid[:n, :m] = dist
     assignment = hungarian(CostMatrix(size, size, grid))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -41,19 +40,6 @@ class Component:
     centroid: tuple[float, float]
     width: int
     height: int
-
-    @classmethod
-    def from_pixels(cls, pixels: Sequence[tuple[int, int]], width: int, height: int) -> "Component":
-        if not pixels:
-            raise ValueError("component must contain at least one pixel")
-        if len(set(pixels)) != len(pixels):
-            raise ValueError("component pixels must be distinct")
-        ordered = sorted(pixels)
-        xs = [p[0] for p in ordered]
-        ys = [p[1] for p in ordered]
-        cx = (sum(xs) / len(pixels) + 0.5) / width
-        cy = (sum(ys) / len(pixels) + 0.5) / height
-        return cls(np.array(xs), np.array(ys), len(pixels), (cx, cy), width, height)
 
     @property
     def pixels(self) -> frozenset[tuple[int, int]]:

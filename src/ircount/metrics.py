@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from ircount.assignment import Point, match_points
+from ircount.assignment import Point, distance_matrices, match_points
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,11 @@ def maed(
     if not gt_sets:
         raise ValueError("maed requires at least one image")
     total = 0.0
-    for gt, pred in zip(gt_sets, pred_sets):
+    for gt, pred, dist in zip(gt_sets, pred_sets, distance_matrices(gt_sets, pred_sets)):
         n, m = len(gt), len(pred)
         if n == 0 and m == 0:
             continue
-        result = match_points(gt, pred)
+        result = match_points(gt, pred, distances=dist)
         contrib = 0.0
         for _, _, d in result.pairs:
             contrib += d * d if cfg.squared else d

@@ -156,6 +156,20 @@ def brute_force_match(gt, pred, penalty=1.0):
 _NEIGHBORS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
 
 
+def component_from_pixels(pixels, width, height):
+    """A ``Component`` built from a list of distinct (x, y) pixels."""
+    if not pixels:
+        raise ValueError("component must contain at least one pixel")
+    if len(set(pixels)) != len(pixels):
+        raise ValueError("component pixels must be distinct")
+    ordered = sorted(pixels)
+    xs = [p[0] for p in ordered]
+    ys = [p[1] for p in ordered]
+    cx = (sum(xs) / len(pixels) + 0.5) / width
+    cy = (sum(ys) / len(pixels) + 0.5) / height
+    return Component(np.array(xs), np.array(ys), len(pixels), (cx, cy), width, height)
+
+
 def scan_key(comp):
     """The order ``find_components`` promises: (min y, min x) over member pixels."""
     return (int(comp.ys.min()), int(comp.xs.min()))
@@ -187,7 +201,7 @@ def flood_fill_components(mask):
                     if 0 <= nx < width and 0 <= ny < height and mask[ny, nx] and not seen[ny, nx]:
                         seen[ny, nx] = True
                         stack.append((nx, ny))
-            comps.append(Component.from_pixels(pixels, width, height))
+            comps.append(component_from_pixels(pixels, width, height))
     comps.sort(key=scan_key)
     return comps
 

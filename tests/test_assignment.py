@@ -2,20 +2,25 @@
 
 import itertools
 import math
+import platform
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ircount import assignment
 from ircount.assignment import (
     CostMatrix,
     MatchResult,
+    distance_matrices,
     hungarian,
     match_points,
     matching_objective,
 )
+from ircount.metrics import MaedConfig, maed
 from oracles import brute_force_match, reference_hungarian
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -26,7 +31,7 @@ def exhaustive_min_total(cm: CostMatrix) -> float:
     """Independent oracle: minimum over all n! permutations."""
     n = cm.rows
     return min(
-        sum(cm.at(i, p[i]) for i in range(n))
+        sum(float(cm.costs[i, p[i]]) for i in range(n))
         for p in itertools.permutations(range(n))
     )
 
@@ -56,7 +61,7 @@ def test_cost_matrix_holds_a_read_only_copy():
     cm = CostMatrix(2, 2, grid)
     grid[0, 0] = 9.0
     assert cm.costs.shape == (2, 2) and cm.costs.dtype == np.float64
-    assert cm.at(0, 0) == 1.0 and cm.at(1, 0) == 3.0
+    assert float(cm.costs[0, 0]) == 1.0 and float(cm.costs[1, 0]) == 3.0
     with pytest.raises(ValueError):
         cm.costs[0, 0] = 0.0
     assert CostMatrix(2, 2, (1.0, 2.0, 3.0, 4.0)).costs.tolist() == [[1.0, 2.0], [3.0, 4.0]]
@@ -76,7 +81,7 @@ def test_hungarian_diagonal_optimum():
     cm = CostMatrix(2, 2, (0.0, 1.0, 1.0, 0.0))
     assign = hungarian(cm)
     assert set(assign) == {(0, 0), (1, 1)}
-    assert sum(cm.at(r, c) for r, c in assign) == 0.0
+    assert sum(float(cm.costs[r, c]) for r, c in assign) == 0.0
 
 
 def test_hungarian_rejects_rectangular():
@@ -95,7 +100,7 @@ def test_hungarian_matches_exhaustive_on_random_6x6():
         assign = hungarian(cm)
         assert sorted(r for r, _ in assign) == list(range(6))
         assert sorted(c for _, c in assign) == list(range(6))
-        total = sum(cm.at(r, c) for r, c in assign)
+        total = sum(float(cm.costs[r, c]) for r, c in assign)
         assert total == pytest.approx(exhaustive_min_total(cm), abs=1e-12)
 
 
@@ -104,20 +109,20 @@ def test_hungarian_matches_exhaustive_on_random_6x6():
 def test_hungarian_never_beaten_by_random_permutations(n, seed):
     rng = random.Random(seed)
     cm = CostMatrix(n, n, tuple(rng.random() for _ in range(n * n)))
-    total = sum(cm.at(r, c) for r, c in hungarian(cm))
+    total = sum(float(cm.costs[r, c]) for r, c in hungarian(cm))
     for _ in range(10):
         perm = list(range(n))
         rng.shuffle(perm)
-        assert total <= sum(cm.at(i, perm[i]) for i in range(n)) + 1e-12
+        assert total <= sum(float(cm.costs[i, perm[i]]) for i in range(n)) + 1e-12
 
 
 def test_hungarian_scaling_scales_total():
     rng = random.Random(17)
     cm = CostMatrix(5, 5, tuple(rng.random() for _ in range(25)))
-    total = sum(cm.at(r, c) for r, c in hungarian(cm))
+    total = sum(float(cm.costs[r, c]) for r, c in hungarian(cm))
     for factor in (0.25, 3.0, 1e3):
         scaled = CostMatrix(5, 5, tuple(c * factor for c in cm.costs))
-        scaled_total = sum(scaled.at(r, c) for r, c in hungarian(scaled))
+        scaled_total = sum(float(scaled.costs[r, c]) for r, c in hungarian(scaled))
         assert scaled_total == pytest.approx(total * factor, rel=1e-12)
 
 
@@ -214,8 +219,8 @@ def test_hungarian_objective_equals_reference_under_heavy_ties(n, top, seed):
     cm = square(n, random.Random(seed), lambda rng: float(rng.randint(0, top)))
     assign = hungarian(cm)
     assert sorted(c for _, c in assign) == list(range(n))
-    assert sum(cm.at(r, c) for r, c in assign) == sum(
-        cm.at(r, c) for r, c in reference_hungarian(cm)
+    assert sum(float(cm.costs[r, c]) for r, c in assign) == sum(
+        float(cm.costs[r, c]) for r, c in reference_hungarian(cm)
     )
 
 
@@ -264,3 +269,97 @@ def test_match_points_names_the_first_unnormalized_point():
         match_points([(0.1, 0.1), (0.5, -0.25), (1.5, 0.0)], [(0.3, 0.3)])
     with pytest.raises(ValueError, match=r"got \(2.0, 0.2\)$"):
         match_points([(0.1, 0.1)], [(2.0, 0.2), (math.nan, 0.0)])
+
+
+CPYTHON_HYPOT = platform.python_implementation() == "CPython" and sys.version_info[:2] in ((3, 10), (3, 11))
+needs_cpython_hypot = pytest.mark.skipif(not CPYTHON_HYPOT, reason="the port follows CPython 3.10/3.11's math.hypot")
+
+coords = st.one_of(
+    st.floats(-1.0, 1.0),  # includes subnormals and both zeros
+    st.integers(-1000, 1000).map(lambda k: k / 1000),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1022, 1e-308, 1e-300, 1.0 - 2**-53, 1.0]),
+)
+near_pairs = st.builds(lambda a, k: (a, a + k * math.ulp(a)), coords, st.integers(-8, 8))
+
+
+@needs_cpython_hypot
+@given(st.lists(st.one_of(st.tuples(coords, coords), near_pairs), min_size=1, max_size=64))
+@example([(0.15, 0.36)])
+@settings(max_examples=300)
+def test_hypot_port_is_math_hypot_bit_for_bit(pairs):
+    dx, dy = (np.array(c, dtype=np.float64) for c in zip(*pairs))
+    got = assignment._hypot_port(dx, dy)
+    assert [d.hex() for d in got.tolist()] == [math.hypot(x, y).hex() for x, y in pairs]
+
+
+@needs_cpython_hypot
+def test_hypot_port_passes_its_probe_here():
+    assert assignment._port_is_exact()
+
+
+def fused_hypot(dx, dy):
+    """CPython 3.12's hypot: the same double-length sum, but each square
+    comes from a fused Dekker product. It rounds (0.15, 0.36) differently."""
+
+    def dl_mul(x, y):
+        (xh, xl), (yh, yl) = assignment._split(x), assignment._split(y)
+        p, q = xh * yh, xh * yl + xl * yh
+        z = p + q
+        return z, p - z + q + xl * yl
+
+    ax, ay = np.abs(dx), np.abs(dy)
+    with np.errstate(all="ignore"):
+        scale = np.ldexp(1.0, -np.frexp(np.maximum(ax, ay))[1])
+        csum, frac1, frac2 = 1.0, 0.0, 0.0
+        for x in (ax * scale, ay * scale, None):
+            if x is None:  # the correction step squares -h
+                h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+                hi, lo = dl_mul(-h, h)
+            else:
+                hi, lo = dl_mul(x, x)
+            total = csum + hi
+            frac1, frac2, csum = frac1 + lo, frac2 + ((csum - total) + hi), total
+        return (h + (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)) / scale
+
+
+@pytest.fixture
+def probe_rerun_after():
+    yield
+    assignment._port_is_exact.cache_clear()
+
+
+def test_probe_mismatch_sends_maed_to_math_hypot(monkeypatch, probe_rerun_after):
+    rng = random.Random(12)
+    grid = [(rng.randint(0, 1000) / 1000, rng.randint(0, 1000) / 1000) for _ in range(1500)]
+    sets = [rng.sample(grid, rng.randint(0, 90)) for _ in range(30)]
+    gt, pred = sets[:15], sets[15:]
+    want = [maed(gt, pred, MaedConfig(squared=s)).hex() for s in (True, False)]
+    assert fused_hypot(np.array([0.15]), np.array([0.36]))[0] != math.hypot(0.15, 0.36)
+    calls = []
+    monkeypatch.setattr(assignment, "_hypot_port", lambda dx, dy: calls.append(dx.size) or fused_hypot(dx, dy))
+    assignment._port_is_exact.cache_clear()
+    assert not assignment._port_is_exact()
+    assert [maed(gt, pred, MaedConfig(squared=s)).hex() for s in (True, False)] == want
+    assert len(calls) == 1  # the probe, and nothing after it
+
+
+def test_match_points_checks_the_shape_of_given_distances():
+    gt, pred = [(0.1, 0.1), (0.5, 0.5)], [(0.2, 0.2)]
+    dist = next(distance_matrices([gt], [pred]))
+    assert dist.shape == (2, 1)
+    assert match_points(gt, pred, distances=dist) == match_points(gt, pred)
+    with pytest.raises(ValueError, match=r"^distances must have shape \(2, 1\), got \(1, 2\)$"):
+        match_points(gt, pred, distances=dist.T)
+
+
+def test_distance_matrices_equal_one_image_at_a_time_across_batches():
+    rng = np.random.default_rng(5)
+    sizes = [(0, 0), (3, 0), (0, 4), (150, 140), (1, 1), *[(int(a), int(b)) for a, b in rng.integers(0, 30, (120, 2))]]
+    gt_sets = [rng.random((n, 3)) for n, _ in sizes]
+    pred_sets = [rng.random((m, 2)) for _, m in sizes]
+    got = list(distance_matrices(gt_sets, pred_sets))
+    assert sum(n * m for n, m in sizes) > 2 * assignment._BATCH_CELLS
+    assert [d.shape for d in got] == sizes
+    for g, p, d in zip(gt_sets, pred_sets, got):
+        want = [[math.hypot(gx - px, gy - py) for px, py in p.tolist()] for gx, gy, _ in g.tolist()]
+        assert [[v.hex() for v in row] for row in d.tolist()] == [[v.hex() for v in row] for row in want]

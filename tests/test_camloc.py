@@ -15,7 +15,6 @@ from ircount._gridio import GridFormatError
 from ircount.assignment import match_points
 from ircount.camloc import (
     CAM_RANGE,
-    Component,
     LocateResult,
     binarize,
     find_components,
@@ -26,7 +25,7 @@ from ircount.camloc import (
 )
 from ircount.cli import run
 from ircount.harness import render_blobs
-from oracles import flood_fill_components, scan_key, union_find_components
+from oracles import component_from_pixels, flood_fill_components, scan_key, union_find_components
 
 bool_masks = arrays(np.bool_, st.tuples(st.integers(1, 12), st.integers(1, 12)))
 
@@ -224,13 +223,13 @@ def test_find_components_partition_matches_scipy():
 
 def test_component_from_pixels_validates():
     with pytest.raises(ValueError):
-        Component.from_pixels([], 4, 4)
+        component_from_pixels([], 4, 4)
     with pytest.raises(ValueError, match="distinct"):
-        Component.from_pixels([(1, 1), (2, 1), (1, 1)], 4, 4)
+        component_from_pixels([(1, 1), (2, 1), (1, 1)], 4, 4)
 
 
 def test_sample_inside_single_pixel():
-    comp = Component.from_pixels([(2, 3)], 8, 8)
+    comp = component_from_pixels([(2, 3)], 8, 8)
     pts = sample_inside(comp, 1, seed=5)
     assert pts == [pts[0]]
     assert (pts[0].cx, pts[0].cy) == ((2 + 0.5) / 8, (3 + 0.5) / 8)
@@ -238,20 +237,20 @@ def test_sample_inside_single_pixel():
 
 def test_sample_inside_full_area_returns_all_pixels():
     pixels = square(1, 1, side=2)
-    comp = Component.from_pixels(pixels, 8, 8)
+    comp = component_from_pixels(pixels, 8, 8)
     pts = sample_inside(comp, comp.area, seed=0)
     got = {(round(p.cx * 8 - 0.5), round(p.cy * 8 - 0.5)) for p in pts}
     assert got == set(pixels)
 
 
 def test_sample_inside_deterministic_per_seed():
-    comp = Component.from_pixels(square(0, 0, side=4), 8, 8)
+    comp = component_from_pixels(square(0, 0, side=4), 8, 8)
     assert sample_inside(comp, 5, seed=11) == sample_inside(comp, 5, seed=11)
     assert sample_inside(comp, 5, seed=11) != sample_inside(comp, 5, seed=12)
 
 
 def test_sample_inside_with_replacement_when_oversampling():
-    comp = Component.from_pixels([(0, 0), (1, 0)], 4, 4)
+    comp = component_from_pixels([(0, 0), (1, 0)], 4, 4)
     pts = sample_inside(comp, 7, seed=3)
     assert len(pts) == 7
 
@@ -304,7 +303,7 @@ def test_locate_people_largest_branch_breaks_area_ties_by_scan_order():
         result = locate_people(amap, 27.0, count, seed=0)
         assert result.branch == "largest"
         got = [(p.cx, p.cy) for p in result.points]
-        assert got == [Component.from_pixels(c, 20, 20).centroid for c in chosen]
+        assert got == [component_from_pixels(c, 20, 20).centroid for c in chosen]
 
 
 def test_locate_people_split_branch_membership_and_count():

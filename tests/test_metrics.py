@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ircount import assignment
 from ircount.assignment import match_points, matching_objective
 from ircount.metrics import (
     CountPair,
@@ -157,6 +158,48 @@ def test_maed_and_pairs_equal_brute_force_at_large_penalties(penalty, squared):
 def test_maed_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         maed([[(0.1, 0.1)]], [])
+
+
+def test_maed_length_mismatch_raises_before_any_distance(monkeypatch):
+    def no_distances(dx, dy):
+        raise AssertionError("a distance was computed")
+
+    monkeypatch.setattr(assignment, "_hypot", no_distances)
+    sets = [[(0.1, 0.1)] * 10] * 3
+    with pytest.raises(ValueError, match=r"^gt and prediction lists differ in length: 3 vs 2$"):
+        maed(sets, sets[:2])
+
+
+def lone_error(gt, pred):
+    with pytest.raises(ValueError) as info:
+        match_points(gt, pred)
+    return str(info.value)
+
+
+# (image, side, point): bad points planted in a run of images that spans
+# several distance batches; each case names what maed must report.
+@pytest.mark.parametrize(
+    "bad, reported",
+    [
+        ([(57, "pred", (0.5, 1.25))], 57),
+        ([(57, "gt", (0.5, 1.25)), (57, "pred", (-0.5, 0.0))], 57),  # predictions first
+        ([(40, "gt", (math.nan, 0.5)), (41, "pred", (2.0, 0.5))], 40),  # same batch, earlier image
+        ([(3, "gt", (0.5, -0.0625)), (58, "pred", (2.0, 0.5))], 3),  # earlier batch
+        ([(58, "gt", ("x", 0.5)), (57, "gt", (1.5, 0.5))], 57),  # a range error before an unreadable point
+        ([(57, "gt", ("x", 0.5)), (58, "gt", (1.5, 0.5))], 57),
+    ],
+)
+def test_maed_errors_name_the_first_bad_image_across_batches(bad, reported):
+    rng = random.Random(60)
+    gt_sets = [[(rng.random(), rng.random()) for _ in range(rng.randint(0, 60))] + [(0.5, 0.5)] for _ in range(60)]
+    pred_sets = [[(rng.random(), rng.random()) for _ in range(rng.randint(0, 60))] + [(0.5, 0.5)] for _ in range(60)]
+    assert sum(len(g) * len(p) for g, p in zip(gt_sets, pred_sets)) > 2 * assignment._BATCH_CELLS
+    for image, side, point in bad:
+        (gt_sets if side == "gt" else pred_sets)[image][-1] = point
+    want = lone_error(gt_sets[reported], pred_sets[reported])
+    with pytest.raises(ValueError) as info:
+        maed(gt_sets, pred_sets)
+    assert str(info.value) == want
 
 
 @given(point_sets, st.randoms(use_true_random=False))
