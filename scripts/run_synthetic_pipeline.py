@@ -81,7 +81,8 @@ def main() -> None:
     # Score detector counts at the tuned threshold.
     pairs = []
     for g, d in corpus.aligned_records(gt, detections):
-        kept = postprocess.apply_detector_postprocessing(d.boxes, curve.best_threshold, 0.7)
+        boxes = [BoundingBox(*row) for row in d.boxes.tolist()]
+        kept = postprocess.apply_detector_postprocessing(boxes, curve.best_threshold, 0.7)
         pairs.append(metrics.CountPair(g.id, corpus.annotation_to_count(g).count, len(kept)))
     det_report = metrics.count_metrics(pairs, per_class=True)
 

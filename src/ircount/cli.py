@@ -10,6 +10,7 @@ every randomized subcommand; an explicit --seed wins over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -22,8 +23,8 @@ import numpy as np
 
 from ircount import camloc, corpus, harness, metrics, postprocess, preprocess
 from ircount._fsutil import write_text_atomic
-from ircount._gridio import GridFormatError, checked_grid, read_grid
-from ircount.corpus import Dataset, ImageRecord, ManifestError
+from ircount._gridio import checked_grid, read_grid
+from ircount.corpus import Dataset, ImageRecord
 from ircount.harness import FractionCurve
 from ircount.postprocess import ThresholdCurve
 
@@ -141,10 +142,10 @@ def _load_json(path: str) -> object:
 
 def _points_of(rec: ImageRecord) -> np.ndarray:
     """The record's point rows, else its box rows: (cx, cy) lead both."""
-    if rec.point_array is not None:
-        return rec.point_array
-    if rec.box_array is not None:
-        return rec.box_array
+    if rec.points is not None:
+        return rec.points
+    if rec.boxes is not None:
+        return rec.boxes
     raise ValueError(f"record {rec.id!r} carries no localizable tier (points or boxes)")
 
 
@@ -265,9 +266,9 @@ def _cmd_convert(args: argparse.Namespace) -> None:
     records = []
     for rec in ds.records:
         if args.to == "points":
-            if rec.box_array is None:
+            if rec.boxes is None:
                 raise ValueError(f"{args.infile}: record {rec.id!r} has no boxes to convert")
-            records.append(replace(rec, boxes=None, points=rec.box_array[:, [0, 1, 4]]))
+            records.append(replace(rec, boxes=None, points=rec.boxes[:, [0, 1, 4]]))
         else:  # count
             records.append(
                 replace(rec, boxes=None, points=None, count=corpus.annotation_to_count(rec))
@@ -399,7 +400,10 @@ def _add_max_count(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-count", type=int, default=20, help="reject explicit count labels above this")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every caller,
+    ``run`` included, so callers must not change it."""
     parser = _Parser(prog="ircount-eval", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -518,7 +522,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args.handler(args)
         return 0
-    except (ManifestError, GridFormatError, ValueError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

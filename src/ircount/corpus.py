@@ -11,7 +11,8 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -107,63 +108,39 @@ def _rows_ok(rows: np.ndarray, cls: type[BoundingBox | PointAnnotation]) -> bool
     return cls is not BoundingBox or rows[:, 2:4].min() > 0.0
 
 
-class _Tier:
-    """An ``ImageRecord`` tier field, read as a tuple of items.
-
-    The record keeps the tier as a read-only float64 array (``<kind>_array``);
-    on first read this builds the items from it and keeps them in the
-    instance, which later reads find first. Read from the class, it gives
-    the field's default, None.
-    """
-
-    def __init__(self, cls: type[BoundingBox | PointAnnotation], kind: str) -> None:
-        self.cls, self.kind, self.array, self.n = cls, kind, f"{kind}_array", len(cls.__match_args__)
-        self.fields = operator.attrgetter(*cls.__match_args__)
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, rec: ImageRecord | None, owner: type | None = None) -> tuple | None:
-        if rec is None:
-            return None
-        rows = rec.__dict__[self.array]
-        items = None if rows is None else tuple(self.cls(*row) for row in rows.tolist())
-        rec.__dict__[self.name] = items
-        return items
-
-    def store(self, rec: ImageRecord) -> None:
-        """Check the value given to the constructor and keep it as rows."""
-        value = rec.__dict__[self.name]
-        if value is None:
-            rows = None
-        elif isinstance(value, np.ndarray):
-            rows = _rows_of(value, self.n)
-            if rows is None:
-                raise ValueError(
-                    f"record {rec.id!r}: {self.name} array must be (k, {self.n}) numbers, "
-                    f"got shape {value.shape} of {value.dtype}"
-                )
-            if not _rows_ok(rows, self.cls):
-                for row in rows.tolist():
-                    self.cls(*row)  # raises the first bad row's own message
-            del rec.__dict__[self.name]  # built on first read
-        else:
-            try:
-                items = tuple(value)
-            except TypeError:
-                raise ValueError(
-                    f"record {rec.id!r}: {self.name} must be {self.cls.__name__} instances or an array, got {value!r}"
-                ) from None
-            if operator.countOf(map(type, items), self.cls) != len(items):
-                raise ValueError(f"record {rec.id!r}: {self.name} must all be {self.cls.__name__} instances")
-            rec.__dict__[self.name] = items
-            rows = np.array(list(map(self.fields, items)), dtype=np.float64).reshape(-1, self.n)
-        if rows is not None:
-            rows.flags.writeable = False
-        rec.__dict__[self.array] = rows
+def _tier(rec_id: object, name: str, value: object, cls: type[BoundingBox | PointAnnotation]) -> np.ndarray | None:
+    """A tier given to ``ImageRecord`` as read-only ``(k, n)`` float64 rows:
+    from an array of rows, checked in bulk, or from a sequence of ``cls``
+    items, each checked on its own."""
+    if value is None:
+        return None
+    n = len(cls.__match_args__)
+    if isinstance(value, np.ndarray):
+        rows = _rows_of(value, n)
+        if rows is None:
+            raise ValueError(
+                f"record {rec_id!r}: {name} array must be (k, {n}) numbers, "
+                f"got shape {value.shape} of {value.dtype}"
+            )
+        if not _rows_ok(rows, cls):
+            for row in rows.tolist():
+                cls(*row)  # raises the first bad row's own message
+    else:
+        try:
+            items = tuple(value)
+        except TypeError:
+            raise ValueError(
+                f"record {rec_id!r}: {name} must be {cls.__name__} instances or an array, got {value!r}"
+            ) from None
+        if operator.countOf(map(type, items), cls) != len(items):
+            raise ValueError(f"record {rec_id!r}: {name} must all be {cls.__name__} instances")
+        rows = np.array(list(map(operator.attrgetter(*cls.__match_args__), items)), dtype=np.float64)
+        rows = rows.reshape(-1, n)
+    rows.flags.writeable = False
+    return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageRecord:
     """One image with any subset of the annotation tiers.
 
@@ -173,32 +150,29 @@ class ImageRecord:
 
     A tier is given as a sequence of items or as an array of their
     fields, one row per item. Either way the record stores it as a
-    read-only float64 array, ``box_array`` of shape (k, 5) and
-    ``point_array`` of shape (k, 3) (None when the tier is absent), which
-    the kernels read. ``boxes`` and ``points`` give the items as a tuple,
-    built on first read and kept.
+    read-only float64 array, ``boxes`` of shape (k, 5) and ``points`` of
+    shape (k, 3), or None when the tier is absent. Records compare and
+    hash by value, their tiers row by row as Python floats.
     """
 
     id: str
     width: int
     height: int
-    boxes: tuple[BoundingBox, ...] | None = _Tier(BoundingBox, "box")  # type: ignore[assignment]
-    points: tuple[PointAnnotation, ...] | None = _Tier(PointAnnotation, "point")  # type: ignore[assignment]
+    boxes: np.ndarray | None = None
+    points: np.ndarray | None = None
     count: CountLabel | None = None
     frame_path: str | None = None
-    box_array: np.ndarray | None = field(init=False, repr=False, compare=False)
-    point_array: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for tier in _TIERS:
-            tier.store(self)
+        object.__setattr__(self, "boxes", _tier(self.id, "boxes", self.boxes, BoundingBox))
+        object.__setattr__(self, "points", _tier(self.id, "points", self.points, PointAnnotation))
         self._check()
 
     @classmethod
     def _of_rows(cls, **fields: object) -> ImageRecord:
-        """A record from every field, with ``box_array`` and ``point_array``
-        in place of the tiers: read-only rows that already passed
-        ``_rows_ok``, as ``load_manifest`` checks a whole file at once."""
+        """A record from every field, with tiers as read-only rows that
+        already passed ``_rows_ok``, as ``load_manifest`` checks a whole
+        file at once."""
         rec = object.__new__(cls)
         rec.__dict__.update(fields)
         rec._check()
@@ -210,18 +184,33 @@ class ImageRecord:
         _check_dims(self.width, self.height)
         if self.frame_path is not None and type(self.frame_path) is not str:
             raise ValueError(f"frame_path must be a string or None, got {self.frame_path!r}")
-        if self.box_array is None and self.point_array is None and self.count is None:
+        if self.boxes is None and self.points is None and self.count is None:
             raise ValueError(f"record {self.id!r}: no annotation tier present")
         if self.count is None:
             return
         if type(self.count) is not CountLabel:
             raise ValueError(f"record {self.id!r}: count must be a CountLabel, got {self.count!r}")
-        for kind, rows in (("boxes", self.box_array), ("points", self.point_array)):
+        for kind, rows in (("boxes", self.boxes), ("points", self.points)):
             if rows is not None and self.count.count != len(rows):
                 raise ValueError(f"record {self.id!r}: count {self.count.count} != {len(rows)} {kind}")
 
+    def _value(self) -> tuple:
+        tiers = (None if rows is None else tuple(map(tuple, rows.tolist())) for rows in (self.boxes, self.points))
+        return (self.id, self.width, self.height, *tiers, self.count, self.frame_path)
 
-_TIERS: tuple[_Tier, _Tier] = (ImageRecord.__dict__["boxes"], ImageRecord.__dict__["points"])
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    @cached_property
+    def _line(self) -> str:
+        """The record's manifest line, encoded on first use (the record is
+        frozen, so it never goes stale)."""
+        return json.dumps(_record_to_dict(self))
 
 
 @dataclass(frozen=True)
@@ -280,10 +269,10 @@ def annotation_to_count(record: ImageRecord) -> CountLabel:
     """
     if record.count is not None:
         return record.count
-    if record.point_array is not None:
-        return CountLabel(len(record.point_array))
-    if record.box_array is not None:
-        return CountLabel(len(record.box_array))
+    if record.points is not None:
+        return CountLabel(len(record.points))
+    if record.boxes is not None:
+        return CountLabel(len(record.boxes))
     raise ValueError(f"record {record.id!r}: no annotation tier present")
 
 
@@ -308,7 +297,7 @@ _JSON_NUMBERS = frozenset((int, float))  # the types json.loads gives numbers; n
 
 
 def _entry_row(
-    raw: object, kind: str, cls: type[BoundingBox | PointAnnotation], width: int, height: int, pixel: bool
+    raw: object, cls: type[BoundingBox | PointAnnotation], width: int, height: int, pixel: bool
 ) -> list[float]:
     """One box or point entry, checked on its own: the floats of the
     class's fields, in order. Raises the message that names what is wrong.
@@ -316,7 +305,7 @@ def _entry_row(
     Pixel coordinates divide even positions by the width and odd ones by
     the height; the last position is the score and is never divided.
     """
-    fields = cls.__match_args__
+    fields, kind = cls.__match_args__, "box" if cls is BoundingBox else "point"
     if not isinstance(raw, (list, tuple)) or len(raw) != len(fields):
         raise ValueError(f"{kind} must be [{', '.join(fields)}], got {raw!r}")
     if not _JSON_NUMBERS.issuperset(map(type, raw)):
@@ -330,7 +319,8 @@ def _entry_row(
 
 
 def _tier_rows(
-    tier: _Tier, entries: list, spans: dict[int, slice], raws: list, pixel: bool, bools: bool, errors: dict[int, str]
+    cls: type[BoundingBox | PointAnnotation], entries: list, spans: dict[int, slice], raws: list, pixel: bool,
+    bools: bool, errors: dict[int, str],
 ) -> np.ndarray:
     """Every entry of one tier in the file as one read-only ``(k, n)`` array;
     ``spans`` gives each record's slice of ``entries``.
@@ -343,7 +333,7 @@ def _tier_rows(
     record, as boxes are checked first; a bad point outranks none. The
     rows of a record with a bad entry are NaN.
     """
-    n = tier.n
+    n = len(cls.__match_args__)
     rows = _rows_of(entries, n)
     if rows is not None and pixel and len(rows):
         try:
@@ -354,14 +344,14 @@ def _tier_rows(
             scale = np.repeat(scale, [span.stop - span.start for span in spans.values()], axis=0)
             rows[:, :-1:2] /= scale[:, :1]
             rows[:, 1:-1:2] /= scale[:, 1:]
-    if rows is None or not _rows_ok(rows, tier.cls) or (bools and any(bool in map(type, e) for e in entries)):
+    if rows is None or not _rows_ok(rows, cls) or (bools and any(bool in map(type, e) for e in entries)):
         checked = []
         for i, span in spans.items():
             width, height = raws[i]["width"], raws[i]["height"]
             try:
-                checked += [_entry_row(raw, tier.kind, tier.cls, width, height, pixel) for raw in entries[span]]
+                checked += [_entry_row(raw, cls, width, height, pixel) for raw in entries[span]]
             except (ValueError, OverflowError) as exc:
-                if tier.name == "boxes":
+                if cls is BoundingBox:
                     errors[i] = str(exc)
                 else:
                     errors.setdefault(i, str(exc))
@@ -419,8 +409,8 @@ def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
         except (ValueError, TypeError) as exc:
             errors[i] = str(exc)
     bools = "true" in text or "false" in text
-    box_rows = _tier_rows(_TIERS[0], boxes, box_spans, raws, pixel, bools, errors)
-    point_rows = _tier_rows(_TIERS[1], points, point_spans, raws, pixel, bools, errors)
+    box_rows = _tier_rows(BoundingBox, boxes, box_spans, raws, pixel, bools, errors)
+    point_rows = _tier_rows(PointAnnotation, points, point_spans, raws, pixel, bools, errors)
 
     # Pass 2: counts and the record checks, on views of the tier arrays.
     records: list[ImageRecord] = []
@@ -439,8 +429,8 @@ def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
                 id=raw.get("id"),
                 width=raw["width"],
                 height=raw["height"],
-                box_array=None if box_span is None else box_rows[box_span],
-                point_array=None if point_span is None else point_rows[point_span],
+                boxes=None if box_span is None else box_rows[box_span],
+                points=None if point_span is None else point_rows[point_span],
                 count=count,
                 frame_path=raw.get("frame_path"),
             )
@@ -465,10 +455,10 @@ def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
 
 def _record_to_dict(rec: ImageRecord) -> dict:
     out: dict = {"id": rec.id, "width": rec.width, "height": rec.height}
-    if rec.box_array is not None:
-        out["boxes"] = rec.box_array.tolist()
-    if rec.point_array is not None:
-        out["points"] = rec.point_array.tolist()
+    if rec.boxes is not None:
+        out["boxes"] = rec.boxes.tolist()
+    if rec.points is not None:
+        out["points"] = rec.points.tolist()
     if rec.count is not None:
         out["count"] = rec.count.count
     if rec.frame_path is not None:
@@ -476,19 +466,9 @@ def _record_to_dict(rec: ImageRecord) -> dict:
     return out
 
 
-def _record_line(rec: ImageRecord) -> str:
-    """The record's manifest line, encoded on first use and kept on the
-    (frozen, so never stale) instance outside its fields."""
-    line = rec.__dict__.get("_line")
-    if line is None:
-        line = json.dumps(_record_to_dict(rec))
-        object.__setattr__(rec, "_line", line)
-    return line
-
-
 def save_manifest(ds: Dataset, path: str | Path) -> None:
     """Write a manifest, one record per line, that loads back field-exactly
     (atomic write)."""
-    records = ",\n".join(_record_line(rec) for rec in ds.records)
+    records = ",\n".join(rec._line for rec in ds.records)
     tail = "\n]}\n" if records else "]}\n"
     write_text_atomic(path, f'{{"name": {json.dumps(ds.name)}, "records": [\n{records}{tail}')

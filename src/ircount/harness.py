@@ -179,6 +179,8 @@ class ProcessPredictor:
 
     def __init__(self, cmd: str | Sequence[str]):
         argv = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
+        if not argv:
+            raise ValueError(f"predictor command is empty: {cmd!r}")
         self._proc = subprocess.Popen(
             argv,
             stdin=subprocess.PIPE,

@@ -108,7 +108,7 @@ def nms(boxes: Sequence[BoundingBox] | np.ndarray, iou_thresh: float) -> list[Bo
     is kept unless it overlaps an already-kept box with IoU strictly above
     the threshold. The kept boxes come back in their original input order:
     as a list of the given boxes, or, given a ``(k, 5)`` array of
-    (cx, cy, w, h, score) rows such as ``ImageRecord.box_array``, as an
+    (cx, cy, w, h, score) rows such as ``ImageRecord.boxes``, as an
     array of the kept rows.
 
     Overlaps are computed on arrays with the same corner and union
@@ -191,10 +191,10 @@ def tune_threshold(
     los: list[float] = []
     his: list[float] = []
     for gt_rec, pred_rec in pairs:
-        if pred_rec.box_array is None:
+        if pred_rec.boxes is None:
             raise ValueError(f"prediction record {gt_rec.id!r} carries no boxes tier")
         target = annotation_to_count(gt_rec).count
-        scores = sorted(nms(pred_rec.box_array, nms_iou)[:, 4].tolist(), reverse=True)
+        scores = sorted(nms(pred_rec.boxes, nms_iou)[:, 4].tolist(), reverse=True)
         if target > len(scores):
             continue
         his.append(scores[target - 1] if target > 0 else np.inf)

@@ -40,7 +40,8 @@ def accuracy_at_threshold(pred, gt, conf, nms_iou=0.7):
     """Count accuracy of box predictions at one confidence threshold."""
     pairs = []
     for gt_rec, pred_rec in aligned_records(gt, pred):
-        boxes = apply_detector_postprocessing(pred_rec.boxes or (), conf, nms_iou)
+        items = [] if pred_rec.boxes is None else [BoundingBox(*row) for row in pred_rec.boxes.tolist()]
+        boxes = apply_detector_postprocessing(items, conf, nms_iou)
         pairs.append(CountPair(gt_rec.id, annotation_to_count(gt_rec).count, len(boxes)))
     return count_metrics(pairs).accuracy
 

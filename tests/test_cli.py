@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, formats."""
 
+import errno
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import make_box
-from ircount import Grid, camloc, corpus, harness, preprocess
+from ircount import Grid, _fsutil, camloc, cli, corpus, harness, preprocess
 from ircount.cli import _parse_fractions, emit_plot, run
 from ircount.corpus import BoundingBox, CountLabel, Dataset, ImageRecord, PointAnnotation, save_manifest
 from ircount.harness import FractionCurve
@@ -99,7 +100,7 @@ def test_convert_boxes_to_points_and_counts(tmp_path, capsys):
     assert run(["convert", "--in", str(tmp_path / "src.json"), "--to", "points", "--out", str(tmp_path / "pts.json")]) == 0
     pts = corpus.load_manifest(tmp_path / "pts.json")
     assert pts.records[0].boxes is None
-    assert [p.cx for p in pts.records[0].points] == [0.25, 0.5]
+    assert pts.records[0].points[:, 0].tolist() == [0.25, 0.5]
     assert run(["convert", "--in", str(tmp_path / "src.json"), "--to", "count", "--out", str(tmp_path / "cnt.json")]) == 0
     cnt = corpus.load_manifest(tmp_path / "cnt.json")
     assert cnt.records[0].count.count == 2
@@ -518,6 +519,73 @@ def test_outputs_get_umask_mode(tmp_path, capsys, umask, mode):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
 
 
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("split", "missing/a.json"),  # the target's directory does not exist
+        ("split", "file/a.json"),  # the target's directory is a file
+        ("eval-count", "dir"),  # the target is a directory
+        ("ablate", "file"),
+        ("synth", "file"),
+    ],
+)
+def test_output_path_error_exits_1_naming_the_given_path(tmp_path, capsys, command, bad):
+    manifest = str(write_counts_manifest(tmp_path / "m.json", "m", [1, 2, 3]))
+    (tmp_path / "file").write_text("x")
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / bad)
+    argv = {
+        "split": ["split", "--manifest", manifest, "--train-count", "1", "--out-train", out,
+                  "--out-test", str(tmp_path / "test.json")],
+        "eval-count": ["eval-count", "--gt", manifest, "--pred", manifest, "--out", out],
+        "ablate": ["ablate", "--manifest", manifest, "--fractions", "0.5,1.0", "--out-dir", out],
+        "synth": ["synth", "--n", "1", "--dims", "16x16", "--out", out],
+    }[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and out in err and ".tmp" not in err
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_write_text_atomic_failed_replace_keeps_the_target(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("old", encoding="utf-8")
+
+    def fail(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src)
+
+    monkeypatch.setattr(_fsutil.os, "replace", fail)
+    with pytest.raises(PermissionError) as info:
+        _fsutil.write_text_atomic(target, "new")
+    assert info.value.filename == str(target) and ".tmp" not in str(info.value)
+    assert target.read_text(encoding="utf-8") == "old"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("cmd", ["", "   "])
+def test_bench_cli_empty_command_is_usage_error(capsys, monkeypatch, cmd):
+    started = []
+    monkeypatch.setattr(harness.subprocess, "Popen", lambda *args, **kwargs: started.append(args))
+    assert run(["bench", "--cmd", cmd, "--warmup", "0", "--iters", "1"]) == 1
+    assert f"error: predictor command is empty: {cmd!r}" in capsys.readouterr().err
+    assert started == []
+
+
+def test_run_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    cli.build_parser.cache_clear()
+    assert run(["eval-count"]) == 1  # a usage error, after parsing
+    assert run(["--help"]) == 0
+    assert built.count("ircount-eval") == 1
+
+
 def test_report_cli_renders_table(tmp_path, capsys):
     rows = {
         "rows": [
@@ -729,5 +797,3 @@ def test_manifest_commands_build_no_box_or_point_objects(tmp_path, monkeypatch, 
     for argv in commands:
         assert run(argv) == 0, (argv, capsys.readouterr().err)
     assert built == []
-    assert any(rec.points for rec in corpus.load_manifest(f"{out}-points.json").records)
-    assert built  # reading the items builds them, and the guard sees that

@@ -1,5 +1,6 @@
 """Data model, manifest IO, converters, and splitting."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -73,11 +74,11 @@ def test_record_rejects_non_iterable_tier_naming_it(tier, value):
 def test_record_stores_tiers_as_read_only_arrays():
     boxes = (make_box(0.25, 0.5, 0.125, 0.25, 0.75), make_box())
     rec = ImageRecord("a", 8, 8, boxes=boxes, points=(make_point(0.25, 0.5, 0.75), make_point()))
-    assert rec.box_array.dtype == np.float64 and rec.box_array.shape == (2, 5)
-    assert rec.point_array.tolist() == [[0.25, 0.5, 0.75], [0.5, 0.5, 1.0]]
-    assert not rec.box_array.flags.writeable and not rec.point_array.flags.writeable
-    assert rec.boxes == boxes and rec.boxes is rec.boxes
-    assert ImageRecord("b", 8, 8, count=CountLabel(0)).box_array is None
+    assert rec.boxes.dtype == np.float64 and rec.boxes.shape == (2, 5)
+    assert rec.points.tolist() == [[0.25, 0.5, 0.75], [0.5, 0.5, 1.0]]
+    assert not rec.boxes.flags.writeable and not rec.points.flags.writeable
+    assert tuple(BoundingBox(*row) for row in rec.boxes.tolist()) == boxes
+    assert ImageRecord("b", 8, 8, count=CountLabel(0)).boxes is None
 
 
 def test_record_from_array_equals_record_from_items():
@@ -85,14 +86,32 @@ def test_record_from_array_equals_record_from_items():
     rec = ImageRecord("a", 8, 8, boxes=rows, count=CountLabel(2))
     twin = ImageRecord("a", 8, 8, boxes=tuple(BoundingBox(*row) for row in rows.tolist()), count=CountLabel(2))
     rows[0, 0] = 0.0  # the record holds its own copy
-    assert rec.box_array[0, 0] == 0.25
-    assert "boxes" not in rec.__dict__  # items are built on first read
+    assert rec.boxes[0, 0] == 0.25
     assert (rec, hash(rec), repr(rec)) == (twin, hash(twin), repr(twin))
-    assert rec.boxes is rec.boxes
-    assert ImageRecord("p", 8, 8, points=rows[:, [0, 1, 4]]).points == (
+    points = ImageRecord("p", 8, 8, points=rows[:, [0, 1, 4]]).points
+    assert tuple(PointAnnotation(*row) for row in points.tolist()) == (
         PointAnnotation(0.0, 0.5, 0.75),
         PointAnnotation(0.5, 0.5, 1.0),
     )
+
+
+def test_record_tiers_are_rows_whichever_way_it_is_built(tmp_path):
+    boxes = (make_box(0.25, 0.5, 0.125, 0.25, 0.75), make_box(1, 0.0, 1, 1))
+    points = (make_point(0.25, 0.5, 0.75), make_point(0.5, 0.5))
+    items = ImageRecord("a", 8, 8, boxes=boxes, points=points, count=CountLabel(2))
+    rows = ImageRecord(
+        "a", 8, 8, boxes=np.array([[0.25, 0.5, 0.125, 0.25, 0.75], [1, -0.0, 1, 1, 1]]),
+        points=np.array([[0.25, 0.5, 0.75], [0.5, 0.5, 1.0]]), count=CountLabel(2),
+    )
+    save_manifest(Dataset("d", (items,)), tmp_path / "d.json")
+    loaded = load_manifest(tmp_path / "d.json").records[0]
+    replaced = dataclasses.replace(loaded, boxes=None)
+    for rec in (items, rows, loaded, replaced):
+        for tier, n in ((rec.boxes, 5), (rec.points, 3)):
+            assert tier is None or (tier.dtype == np.float64 and tier.shape == (2, n) and not tier.flags.writeable)
+    assert replaced.boxes is None and replaced.points.tolist() == [[0.25, 0.5, 0.75], [0.5, 0.5, 1.0]]
+    assert items == rows == loaded and hash(items) == hash(rows) == hash(loaded)  # 0.0 == -0.0, as floats
+    assert replaced != loaded and len({items, rows, loaded, replaced}) == 2
 
 
 @pytest.mark.parametrize(
@@ -391,8 +410,8 @@ def test_manifest_pixel_coordinates(tmp_path):
     path = tmp_path / "px.json"
     path.write_text(json.dumps(doc))
     rec = load_manifest(path).records[0]
-    assert rec.boxes[0] == BoundingBox(0.5, 0.5, 0.2, 0.2, 1.0)
-    assert rec.points[0] == PointAnnotation(0.5, 0.5, 1.0)
+    assert BoundingBox(*rec.boxes[0].tolist()) == BoundingBox(0.5, 0.5, 0.2, 0.2, 1.0)
+    assert PointAnnotation(*rec.points[0].tolist()) == PointAnnotation(0.5, 0.5, 1.0)
 
 
 def test_manifest_inconsistent_count_names_record(tmp_path):
