@@ -4,26 +4,25 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 from pathlib import Path
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text``, UTF-8 encoded, in one rename. The
-    file gets the mode a plain ``open`` would give it (0o666 less the umask),
-    not mkstemp's 0600. A killed process never leaves a half-written target;
-    with no fsync, the write is not made durable against power loss. An
-    ``OSError`` comes back as one of the same type that names ``path``, not
-    the temp file, which is removed."""
+    file gets the mode a plain ``open`` would give it (0o666 less the umask,
+    applied by the kernel), not mkstemp's 0600. A killed process never
+    leaves a half-written target; with no fsync, the write is not made
+    durable against power loss. An ``OSError`` comes back as one of the
+    same type that names ``path``, not the temp file, which is removed if
+    this call created it."""
     path = Path(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent) if str(path.parent) else ".", suffix=".tmp")
+        name = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:

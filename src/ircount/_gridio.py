@@ -6,6 +6,7 @@ then width*height whitespace-separated reals in row-major order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import InitVar, dataclass
 from pathlib import Path
 
@@ -22,9 +23,10 @@ class GridFormatError(ValueError):
 class Grid:
     """A checked single-channel grid: an IR frame or a class activation map.
 
-    ``values`` is held as a read-only float64 array of shape (height, width)
-    with every value finite. ``value_range`` is checked at construction and
-    not stored: activation maps pass ``camloc.CAM_RANGE``, frames pass none.
+    ``values``, flat in row-major order or shaped (height, width), is held
+    as a read-only float64 (height, width) array with every value finite.
+    ``value_range`` is checked at construction and not stored: activation
+    maps pass ``camloc.CAM_RANGE``, frames pass none.
     """
 
     width: int
@@ -38,6 +40,8 @@ class Grid:
         arr = np.array(self.values, dtype=np.float64)
         if arr.size != self.width * self.height:
             raise ValueError(f"grid has {arr.size} values, expected {self.width * self.height}")
+        if arr.ndim > 1 and arr.shape != (self.height, self.width):
+            raise ValueError(f"grid values have shape {arr.shape}, expected {(self.height, self.width)}")
         arr = arr.reshape(self.height, self.width)
         if not np.all(np.isfinite(arr)):
             raise ValueError("grid values must all be finite")
@@ -81,17 +85,20 @@ def read_grid(path: str | Path, tag: str) -> tuple[int, int, np.ndarray]:
         raise GridFormatError(f"{path}: non-integer dimensions {lines[1]!r}") from exc
     if width < 1 or height < 1:
         raise GridFormatError(f"{path}: dimensions must be positive, got {width} x {height}")
-    tokens = "\n".join(lines[2:]).split()
-    if len(tokens) != width * height:
-        raise GridFormatError(
-            f"{path}: expected {width * height} values, found {len(tokens)}"
-        )
+    # One line's tokens at a time, so neither a joined copy of the text nor a token list is
+    # held; with no count, the array grows with the values present, not the dimensions line.
+    tokens = itertools.chain.from_iterable(map(str.split, lines[2:]))
     try:
-        # One float at a time: a list of every value as a Python float
-        # left the process about 1 MB larger after each 640x512 read.
-        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+        values = np.fromiter(map(float, tokens), dtype=np.float64)
     except ValueError as exc:
-        raise GridFormatError(f"{path}: non-numeric grid value: {exc}") from exc
+        # Only a bad file pays for counting, and a wrong count outranks a bad token.
+        found = sum(len(line.split()) for line in lines[2:])
+        if found == width * height:
+            raise GridFormatError(f"{path}: non-numeric grid value: {exc}") from exc
+    else:
+        found = values.size
+    if found != width * height:
+        raise GridFormatError(f"{path}: expected {width * height} values, found {found}")
     return width, height, values.reshape(height, width)
 
 

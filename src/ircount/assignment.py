@@ -24,8 +24,8 @@ Point = object  # anything with .cx/.cy, or a (x, y) pair; a set of them may als
 class CostMatrix:
     """Dense matrix of finite, non-negative costs.
 
-    ``costs`` may be given flat in row-major order or already shaped; it
-    is stored as a read-only ``(rows, cols)`` float64 array.
+    ``costs`` may be given flat in row-major order or shaped ``(rows, cols)``;
+    it is stored as a read-only ``(rows, cols)`` float64 array.
     """
 
     rows: int
@@ -38,6 +38,8 @@ class CostMatrix:
         costs = np.array(self.costs, dtype=np.float64)
         if costs.size != self.rows * self.cols:
             raise ValueError(f"expected {self.rows * self.cols} costs, got {costs.size}")
+        if costs.ndim > 1 and costs.shape != (self.rows, self.cols):
+            raise ValueError(f"costs have shape {costs.shape}, expected {(self.rows, self.cols)}")
         costs = costs.reshape(self.rows, self.cols)
         ok = np.isfinite(costs) & (costs >= 0.0)
         if not ok.all():

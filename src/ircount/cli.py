@@ -237,11 +237,12 @@ def _cmd_tune_threshold(args: argparse.Namespace) -> None:
 def _cmd_locate_cam(args: argparse.Namespace) -> None:
     if not 0.0 < args.map_scale < math.inf:
         raise ValueError(f"--map-scale must be positive and finite, got {args.map_scale}")
-    if args.map_scale == 255.0:
+    peak = camloc.CAM_RANGE[1]
+    if args.map_scale == peak:
         amap = camloc.read_activation_map(args.map)
     else:
         width, height, values = read_grid(args.map, camloc.CAM_TAG)
-        amap = checked_grid(args.map, (width, height, values * (255.0 / args.map_scale)), camloc.CAM_RANGE)
+        amap = checked_grid(args.map, (width, height, values * (peak / args.map_scale)), camloc.CAM_RANGE)
     seed = _resolve_seed(args.seed)
     result = camloc.locate_people(amap, args.threshold, args.count, seed)
     _emit(
@@ -319,20 +320,15 @@ def _cmd_break_even(args: argparse.Namespace) -> None:
 
 
 def _cmd_bench(args: argparse.Namespace) -> None:
-    predictor = harness.ProcessPredictor(args.cmd)
-    try:
+    with harness.ProcessPredictor(args.cmd) as predictor:
         stats = harness.bench_fps(predictor, args.warmup, args.iters, args.inputs)
-    finally:
-        predictor.close()
     payload = {
         "warmup_iters": stats.warmup_iters,
         "timed_iters": stats.timed_iters,
         "mean_latency": stats.mean_latency,
         "fps": stats.fps,
+        **{f"p{q}_latency": harness.latency_percentile(stats, q) for q in (50, 90, 99)},
     }
-    if stats.per_iter:
-        for q in (50, 90, 99):
-            payload[f"p{q}_latency"] = harness.latency_percentile(stats, q)
     _emit(payload, args.out)
 
 
@@ -396,10 +392,6 @@ def _cmd_report(args: argparse.Namespace) -> None:
 # parser
 
 
-def _add_max_count(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-count", type=int, default=20, help="reject explicit count labels above this")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared by every caller,
@@ -407,43 +399,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ircount-eval", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("eval-count", help="count accuracy / MSE / MAE of predictions vs ground truth")
-    p.add_argument("--gt", required=True)
-    p.add_argument("--pred", required=True)
+    # Options that several subcommands share, declared once and inherited.
+    max_count = argparse.ArgumentParser(add_help=False)
+    max_count.add_argument("--max-count", type=int, default=20, help="reject explicit count labels above this")
+    gt_pred = argparse.ArgumentParser(add_help=False, parents=[max_count])
+    gt_pred.add_argument("--gt", required=True)
+    gt_pred.add_argument("--pred", required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+
+    p = sub.add_parser(
+        "eval-count", parents=[gt_pred, out], help="count accuracy / MSE / MAE of predictions vs ground truth"
+    )
     p.add_argument("--per-class", action="store_true")
     p.add_argument("--label", default="prediction")
     p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
-    p.add_argument("--out")
-    _add_max_count(p)
     p.set_defaults(handler=_cmd_eval_count)
 
-    p = sub.add_parser("eval-locate", help="mean matched-point distance between prediction and ground truth")
-    p.add_argument("--gt", required=True)
-    p.add_argument("--pred", required=True)
+    p = sub.add_parser(
+        "eval-locate", parents=[gt_pred, out], help="mean matched-point distance between prediction and ground truth"
+    )
     p.add_argument("--penalty", type=float, default=1.0)
     p.add_argument("--no-squared", action="store_true", help="score plain instead of squared distances")
     p.add_argument("--denominator", choices=("max_card", "gt_card"), default="max_card")
-    p.add_argument("--out")
-    _add_max_count(p)
     p.set_defaults(handler=_cmd_eval_locate)
 
-    p = sub.add_parser("tune-threshold", help="sweep confidence thresholds for best count accuracy")
-    p.add_argument("--gt", required=True)
-    p.add_argument("--pred", required=True)
+    p = sub.add_parser("tune-threshold", parents=[gt_pred], help="sweep confidence thresholds for best count accuracy")
     p.add_argument("--grid-step", type=float, default=0.001)
     p.add_argument("--nms", type=float, default=0.7)
     p.add_argument("--out", required=True)
     p.add_argument("--svg")
-    _add_max_count(p)
     p.set_defaults(handler=_cmd_tune_threshold)
 
-    p = sub.add_parser("locate-cam", help="extract person locations from an activation map")
+    p = sub.add_parser("locate-cam", parents=[seed, out], help="extract person locations from an activation map")
     p.add_argument("--map", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--threshold", type=float, default=camloc.DEFAULT_BINARY_THRESHOLD)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--map-scale", type=float, default=255.0, help="peak of the input map's value scale")
-    p.add_argument("--out")
+    p.add_argument("--map-scale", type=float, default=camloc.CAM_RANGE[1], help="peak of the input map's value scale")
     p.set_defaults(handler=_cmd_locate_cam)
 
     p = sub.add_parser("winsorize", help="trim frame outliers into a percentile range")
@@ -453,57 +447,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, default=95.0)
     p.set_defaults(handler=_cmd_winsorize)
 
-    p = sub.add_parser("convert", help="derive a weaker annotation tier")
+    p = sub.add_parser("convert", parents=[max_count], help="derive a weaker annotation tier")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--to", choices=("points", "count"), required=True)
     p.add_argument("--out", required=True)
-    _add_max_count(p)
     p.set_defaults(handler=_cmd_convert)
 
-    p = sub.add_parser("split", help="deterministic seeded train/test split")
+    p = sub.add_parser("split", parents=[max_count, seed], help="deterministic seeded train/test split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--train-count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
-    _add_max_count(p)
     p.set_defaults(handler=_cmd_split)
 
-    p = sub.add_parser("ablate", help="nested training subsets at growing fractions")
+    p = sub.add_parser("ablate", parents=[max_count, seed], help="nested training subsets at growing fractions")
     p.add_argument("--manifest", required=True)
     p.add_argument("--fractions", default="0.1:1.0:0.1", help="start:stop:step or comma list")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", required=True)
-    _add_max_count(p)
     p.set_defaults(handler=_cmd_ablate)
 
-    p = sub.add_parser("break-even", help="smallest fraction reaching a target accuracy")
+    p = sub.add_parser("break-even", parents=[out], help="smallest fraction reaching a target accuracy")
     p.add_argument("--curve", required=True)
     p.add_argument("--target", type=float, required=True)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_break_even)
 
-    p = sub.add_parser("bench", help="serial FPS benchmark of an external predictor")
+    p = sub.add_parser("bench", parents=[out], help="serial FPS benchmark of an external predictor")
     p.add_argument("--cmd", required=True)
     p.add_argument("--warmup", type=int, default=100)
     p.add_argument("--iters", type=int, default=10000)
     p.add_argument("--inputs", nargs="*", default=["-"], help="input tokens cycled through the predictor")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_bench)
 
-    p = sub.add_parser("synth", help="generate a synthetic blob scene with ground truth")
+    p = sub.add_parser("synth", parents=[seed], help="generate a synthetic blob scene with ground truth")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dims", default="64x64")
     p.add_argument("--sigma", type=float, default=2.0)
     p.add_argument("--min-sep", type=float, default=16.0)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("report", help="render stored results as a table")
+    p = sub.add_parser("report", parents=[out], help="render stored results as a table")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=("json", "markdown", "csv"), default="markdown")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_report)
 
     return parser

@@ -155,12 +155,14 @@ def nms(boxes: Sequence[BoundingBox] | np.ndarray, iou_thresh: float) -> list[Bo
 def default_grid(step: float = 0.001) -> list[float]:
     """Ascending threshold grid over [0, 1] with the given step.
 
-    The step must divide 1. With ``count = 1 / step`` steps, the values
-    are ``i / count``, so each is the closest float to its decimal and
-    the last is exactly 1.0.
+    The step must divide 1 into at most 10**6 steps. With
+    ``count = 1 / step`` steps, the values are ``i / count``, so each is
+    the closest float to its decimal and the last is exactly 1.0.
     """
     if not 0.0 < step <= 1.0:
         raise ValueError(f"grid step must be in (0, 1], got {step}")
+    if step < 1e-6:  # 10**6 steps make a list of about 32 MB; the paper's step is 0.001
+        raise ValueError(f"grid step {step} gives more than 1000000 steps")
     count = round(1.0 / step)
     if not math.isclose(count * step, 1.0, rel_tol=1e-9, abs_tol=0.0):
         raise ValueError(f"grid step must divide 1, got {step}")

@@ -56,6 +56,13 @@ def test_cost_matrix_validation_messages():
         CostMatrix(-1, 0, ())
 
 
+def test_cost_matrix_rejects_costs_shaped_against_its_dimensions():
+    with pytest.raises(ValueError, match=r"^costs have shape \(3, 2\), expected \(2, 3\)$"):
+        CostMatrix(2, 3, np.arange(6.0).reshape(3, 2))
+    assert CostMatrix(2, 3, np.arange(6.0)).costs.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+    assert CostMatrix(0, 3, np.zeros((0, 3))).costs.shape == (0, 3)
+
+
 def test_cost_matrix_holds_a_read_only_copy():
     grid = np.array([[1.0, 2.0], [3.0, 4.0]])
     cm = CostMatrix(2, 2, grid)

@@ -61,6 +61,62 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+# Each subcommand's minimal valid argv, the namespace it parses to (without
+# ``handler``), and the usage error the bare subcommand gives.
+PARSED_NAMESPACES = [
+    (["eval-count", "--gt", "g.json", "--pred", "p.json"],
+     {"format": "json", "gt": "g.json", "label": "prediction", "max_count": 20, "out": None,
+      "per_class": False, "pred": "p.json"},
+     "--gt, --pred"),
+    (["eval-locate", "--gt", "g.json", "--pred", "p.json"],
+     {"denominator": "max_card", "gt": "g.json", "max_count": 20, "no_squared": False, "out": None,
+      "penalty": 1.0, "pred": "p.json"},
+     "--gt, --pred"),
+    (["tune-threshold", "--gt", "g.json", "--pred", "p.json", "--out", "c.json"],
+     {"grid_step": 0.001, "gt": "g.json", "max_count": 20, "nms": 0.7, "out": "c.json", "pred": "p.json",
+      "svg": None},
+     "--gt, --pred, --out"),
+    (["locate-cam", "--map", "m.cam", "--count", "3"],
+     {"count": 3, "map": "m.cam", "map_scale": 255.0, "out": None, "seed": None, "threshold": 27.0},
+     "--map, --count"),
+    (["winsorize", "in.frame", "out.frame"],
+     {"hi": 95.0, "infile": "in.frame", "lo": 5.0, "outfile": "out.frame"},
+     "infile, outfile"),
+    (["convert", "--in", "a.json", "--to", "points", "--out", "b.json"],
+     {"infile": "a.json", "max_count": 20, "out": "b.json", "to": "points"},
+     "--in, --to, --out"),
+    (["split", "--manifest", "a.json", "--train-count", "2", "--out-train", "t.json", "--out-test", "s.json"],
+     {"manifest": "a.json", "max_count": 20, "out_test": "s.json", "out_train": "t.json", "seed": None,
+      "train_count": 2},
+     "--manifest, --train-count, --out-train, --out-test"),
+    (["ablate", "--manifest", "a.json", "--out-dir", "d"],
+     {"fractions": "0.1:1.0:0.1", "manifest": "a.json", "max_count": 20, "out_dir": "d", "seed": None},
+     "--manifest, --out-dir"),
+    (["break-even", "--curve", "c.json", "--target", "0.5"],
+     {"curve": "c.json", "out": None, "target": 0.5},
+     "--curve, --target"),
+    (["bench", "--cmd", "cat"],
+     {"cmd": "cat", "inputs": ["-"], "iters": 10000, "out": None, "warmup": 100},
+     "--cmd"),
+    (["synth", "--n", "3", "--out", "d"],
+     {"dims": "64x64", "min_sep": 16.0, "n": 3, "out": "d", "seed": None, "sigma": 2.0},
+     "--n, --out"),
+    (["report", "--in", "r.json"],
+     {"format": "markdown", "infile": "r.json", "out": None},
+     "--in"),
+]
+
+
+@pytest.mark.parametrize("argv, expected, required", PARSED_NAMESPACES, ids=[argv[0] for argv, _, _ in PARSED_NAMESPACES])
+def test_subcommand_parses_to_its_namespace(argv, expected, required):
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert parsed.pop("handler") is getattr(cli, "_cmd_" + argv[0].replace("-", "_"))
+    assert parsed == {"subcommand": argv[0], **expected}
+    with pytest.raises(cli._UsageError) as info:
+        cli.build_parser().parse_args(argv[:1])
+    assert str(info.value) == f"ircount-eval {argv[0]}: the following arguments are required: {required}"
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "subcommand" in capsys.readouterr().out.lower() or True
@@ -193,6 +249,14 @@ def test_tune_threshold_rejects_grid_step_not_dividing_one(tmp_path, capsys):
     assert code == 1
     assert "0.3" in capsys.readouterr().err
     assert not (tmp_path / "curve.json").exists()
+
+
+def test_tune_threshold_rejects_grid_step_finer_than_the_bound(tmp_path, capsys):
+    gt = write_counts_manifest(tmp_path / "gt.json", "gt", [1])
+    argv = ["tune-threshold", "--gt", str(gt), "--pred", str(gt), "--grid-step", "1e-9", "--out", str(tmp_path / "c.json")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: grid step 1e-09 gives more than 1000000 steps\n"
+    assert not (tmp_path / "c.json").exists()
 
 
 
@@ -560,6 +624,69 @@ def test_write_text_atomic_failed_replace_keeps_the_target(tmp_path, monkeypatch
     assert info.value.filename == str(target) and ".tmp" not in str(info.value)
     assert target.read_text(encoding="utf-8") == "old"
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_write_text_atomic_leaves_the_umask_alone(tmp_path, monkeypatch):
+    def fail(mask):
+        raise AssertionError("os.umask called")
+
+    old = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(_fsutil.os, "umask", fail)
+            _fsutil.write_text_atomic(tmp_path / "out.txt", "new")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == 0o640
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "new"
+
+
+def test_write_text_atomic_keeps_a_temp_name_it_did_not_create(tmp_path, monkeypatch):
+    monkeypatch.setattr(_fsutil.os, "urandom", lambda n: b"\0" * n)
+    taken = tmp_path / f"tmp{'00' * 8}.tmp"
+    taken.write_text("someone else's", encoding="utf-8")
+    with pytest.raises(FileExistsError) as info:
+        _fsutil.write_text_atomic(tmp_path / "out.json", "new")
+    assert info.value.filename == str(tmp_path / "out.json")
+    assert taken.read_text(encoding="utf-8") == "someone else's"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, seed_env, message",
+    [
+        (["locate-cam", "--map", "{ok}", "--count", "1", "--threshold", "nan"], None,
+         "threshold must be finite, got nan"),
+        (["synth", "--n", "1", "--dims", "16x16", "--out", "{out}"], "abc",
+         "IRCOUNT_SEED must be an integer, got 'abc'"),
+        (["eval-locate", "--gt", "{counts}", "--pred", "{counts}"], None,
+         "record 'r0' carries no localizable tier (points or boxes)"),
+        (["synth", "--n", "1", "--dims", "10", "--out", "{out}"], None, "dims must look like 64x64, got '10'"),
+        (["ablate", "--manifest", "{counts}", "--fractions", "a:b:c", "--out-dir", "{out}"], None,
+         "fractions must be start:stop:step or a comma list, got 'a:b:c'"),
+        (["locate-cam", "--map", "{no_dims}", "--count", "1"], None, "{no_dims}: missing dimensions line"),
+        (["locate-cam", "--map", "{bad_dims}", "--count", "1"], None, "{bad_dims}: non-integer dimensions '4 x'"),
+    ],
+    ids=["threshold-nan", "seed-env", "count-only-locate", "dims", "fractions", "no-dims-line", "bad-dims"],
+)
+def test_cli_error_exits_1_with_its_message(tmp_path, capsys, monkeypatch, argv, seed_env, message):
+    paths = {
+        "ok": tmp_path / "ok.cam",
+        "counts": write_counts_manifest(tmp_path / "counts.json", "counts", [1, 2]),
+        "no_dims": tmp_path / "no_dims.cam",
+        "bad_dims": tmp_path / "bad_dims.cam",
+        "out": tmp_path / "out",
+    }
+    camloc.write_activation_map(Grid(4, 4, np.zeros(16), camloc.CAM_RANGE), paths["ok"])
+    paths["no_dims"].write_text("CAM v1\n")
+    paths["bad_dims"].write_text("CAM v1\n4 x\n")
+    if seed_env is None:
+        monkeypatch.delenv("IRCOUNT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("IRCOUNT_SEED", seed_env)
+    assert run([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize("cmd", ["", "   "])

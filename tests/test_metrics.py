@@ -21,6 +21,7 @@ from ircount.metrics import (
     render_count_table,
     render_per_class_table,
     report_to_dict,
+    round_half_away,
 )
 from oracles import brute_force_match
 
@@ -230,6 +231,11 @@ def test_decide_count_regression(raw, expected):
 
 def test_decide_count_regression_half_epsilon_edge():
     assert decide_count_regression(0.49999999999999994) == 0
+
+
+@pytest.mark.parametrize("value, expected", [(-0.5, -1), (-2.5, -3), (-2.4, -2), (-0.49999999999999994, 0)])
+def test_round_half_away_on_negative_values(value, expected):
+    assert round_half_away(value) == expected
 
 
 @pytest.mark.parametrize("raw", [math.nan, math.inf, -math.inf])

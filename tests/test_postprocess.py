@@ -232,6 +232,17 @@ def test_default_grid_rejects_steps_not_dividing_one(step):
         default_grid(step)
 
 
+@pytest.mark.parametrize("step", [1e-9, 9.99e-7, 5e-324])
+def test_default_grid_rejects_steps_finer_than_its_bound(step):
+    with pytest.raises(ValueError, match=rf"^grid step {step} gives more than 1000000 steps$"):
+        default_grid(step)
+
+
+def test_default_grid_takes_steps_down_to_its_bound():
+    grid = default_grid(1e-6)
+    assert len(grid) == 10**6 + 1 and grid[1] == 1e-6 and grid[-1] == 1.0
+
+
 def detector_fixture():
     """Two images whose count accuracy is 1.0 exactly when the threshold
     falls in (0.4995, 0.5005]; 0.500 is the only grid point inside."""

@@ -1,6 +1,7 @@
 """Winsorization, unit scaling, and the FRAME container."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,13 @@ def test_frame_validation():
         Grid(2, 1, np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match="positive"):
         Grid(0, 3, np.zeros(0))
+
+
+def test_grid_rejects_values_shaped_against_its_dimensions():
+    with pytest.raises(ValueError, match=r"^grid values have shape \(4, 8\), expected \(8, 4\)$"):
+        Grid(4, 8, np.arange(32.0).reshape(4, 8))
+    assert Grid(4, 8, np.arange(32.0)).values.shape == (8, 4)
+    assert Grid(4, 8, np.arange(32.0).reshape(8, 4)).values[0].tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_frame_values_read_only():
@@ -202,6 +210,38 @@ def test_frame_file_errors(tmp_path):
     short.write_text("FRAME v1\n2 2\n1 2 3\n")
     with pytest.raises(ValueError, match="expected 4 values"):
         read_frame(short)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ("1 2\n3", "expected 4 values, found 3"),
+        ("1 2\n3 4\n5", "expected 4 values, found 5"),
+        ("1 x\n3", "expected 4 values, found 3"),  # a wrong count outranks a bad token
+        ("1 x\n3 4 5", "expected 4 values, found 5"),
+        ("1 2\n3 x", "non-numeric grid value: could not convert string to float: 'x'"),
+        ("", "expected 4 values, found 0"),
+    ],
+)
+def test_frame_file_value_count_and_token_errors(tmp_path, values, message):
+    path = tmp_path / "odd.frame"
+    path.write_text(f"FRAME v1\n2 2\n{values}\n")
+    with pytest.raises(GridFormatError) as err:
+        read_frame(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_grid_reader_does_not_allocate_what_the_dimensions_line_claims(tmp_path):
+    path = tmp_path / "short.frame"
+    path.write_text("FRAME v1\n4000 4000\n1 2 3\n")  # 16M values would take 128 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridFormatError, match="expected 16000000 values, found 3$"):
+            read_frame(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
