@@ -8,7 +8,6 @@ subset of the tiers; converters derive weaker tiers from stronger ones.
 from __future__ import annotations
 
 import json
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -296,11 +295,11 @@ def split_dataset(ds: Dataset, train_count: int, seed: int) -> tuple[Dataset, Da
 _JSON_NUMBERS = frozenset((int, float))  # the types json.loads gives numbers; not bool or str
 
 
-def _entry_row(
+def _entry(
     raw: object, cls: type[BoundingBox | PointAnnotation], width: int, height: int, pixel: bool
-) -> list[float]:
-    """One box or point entry, checked on its own: the floats of the
-    class's fields, in order. Raises the message that names what is wrong.
+) -> BoundingBox | PointAnnotation:
+    """One box or point entry, checked on its own, as a ``cls`` item.
+    Raises the message that names what is wrong.
 
     Pixel coordinates divide even positions by the width and odd ones by
     the height; the last position is the score and is never divided.
@@ -314,62 +313,100 @@ def _entry_row(
     if pixel:
         for i in range(len(values) - 1):
             values[i] /= height if i % 2 else width
-    cls(*values)
-    return values
+    return cls(*values)
+
+
+def _count(raw: dict, max_count: int) -> CountLabel | None:
+    if "count" not in raw:
+        return None
+    count = CountLabel(raw["count"])
+    if count.count > max_count:
+        raise ValueError(f"count {count.count} exceeds max_count {max_count}")
+    return count
+
+
+def _record_of(raw: object, pixel: bool, max_count: int) -> ImageRecord:
+    """One manifest record, checked on its own in this order, so that its
+    error names its first problem: the dimensions, each box, each point,
+    the count, then the record as a whole."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"record entry must be an object, got {raw!r}")
+    width, height = raw.get("width"), raw.get("height")
+    _check_dims(width, height)  # pixel entries divide by them
+    tiers = {name: tuple(_entry(e, cls, width, height, pixel) for e in raw[name])
+             for name, cls in (("boxes", BoundingBox), ("points", PointAnnotation)) if name in raw}
+    count = _count(raw, max_count)
+    return ImageRecord(raw.get("id"), width, height, count=count, frame_path=raw.get("frame_path"), **tiers)
 
 
 def _tier_rows(
     cls: type[BoundingBox | PointAnnotation], entries: list, spans: dict[int, slice], raws: list, pixel: bool,
-    bools: bool, errors: dict[int, str],
+    bools: bool,
 ) -> np.ndarray:
-    """Every entry of one tier in the file as one read-only ``(k, n)`` array;
-    ``spans`` gives each record's slice of ``entries``.
-
-    The fast path reads all entries with one ``np.array`` call and checks
-    them in bulk. If anything there fails (a type numpy does not read as a
-    plain number, a bool when the file text has one, a value out of
-    range), each entry is checked on its own, and the first bad entry of a
-    record becomes its error. A bad box outranks any other error of its
-    record, as boxes are checked first; a bad point outranks none. The
-    rows of a record with a bad entry are NaN.
-    """
+    """Every entry of one tier in the file as one read-only ``(k, n)`` array,
+    read with one ``np.array`` call and checked in bulk; ``spans`` gives
+    each record's slice of ``entries``. Raises when an entry is not a row
+    of plain numbers that ``cls`` accepts (a type numpy does not read as a
+    number, a bool when the file text has one, a value out of range) or a
+    pixel file's dimension is too large for a float."""
     n = len(cls.__match_args__)
     rows = _rows_of(entries, n)
-    if rows is not None and pixel and len(rows):
-        try:
-            scale = np.array([(raws[i]["width"], raws[i]["height"]) for i in spans], dtype=np.float64)
-        except OverflowError:
-            rows = None
-        else:
-            scale = np.repeat(scale, [span.stop - span.start for span in spans.values()], axis=0)
-            rows[:, :-1:2] /= scale[:, :1]
-            rows[:, 1:-1:2] /= scale[:, 1:]
-    if rows is None or not _rows_ok(rows, cls) or (bools and any(bool in map(type, e) for e in entries)):
-        checked = []
-        for i, span in spans.items():
-            width, height = raws[i]["width"], raws[i]["height"]
-            try:
-                checked += [_entry_row(raw, cls, width, height, pixel) for raw in entries[span]]
-            except (ValueError, OverflowError) as exc:
-                if cls is BoundingBox:
-                    errors[i] = str(exc)
-                else:
-                    errors.setdefault(i, str(exc))
-                checked += [[math.nan] * n] * (span.stop - span.start)
-        rows = np.array(checked, dtype=np.float64).reshape(-1, n)
+    if rows is None or (bools and any(bool in map(type, e) for e in entries)):
+        raise ValueError(f"{cls.__name__} entries are not all rows of {n} numbers")
+    if pixel and len(rows):
+        scale = np.array([(raws[i]["width"], raws[i]["height"]) for i in spans], dtype=np.float64)
+        scale = np.repeat(scale, [span.stop - span.start for span in spans.values()], axis=0)
+        rows[:, :-1:2] /= scale[:, :1]
+        rows[:, 1:-1:2] /= scale[:, 1:]
+    if not _rows_ok(rows, cls):
+        raise ValueError(f"{cls.__name__} entries out of range")
     rows.flags.writeable = False
     return rows
+
+
+def _bulk_dataset(doc: dict, pixel: bool, bools: bool, max_count: int) -> Dataset:
+    """A valid manifest's dataset, with each tier's entries in the whole
+    file read into one array; every record keeps views of those arrays.
+    Raises at the first problem, with no message meant for a reader."""
+    raws = doc["records"]
+    # Each record's dimensions, and its entries gathered into one list per
+    # tier, with the record's slice of that list.
+    boxes: list = []
+    points: list = []
+    box_spans: dict[int, slice] = {}
+    point_spans: dict[int, slice] = {}
+    for i, raw in enumerate(raws):
+        _check_dims(raw["width"], raw["height"])  # pixel entries divide by them
+        if "boxes" in raw:
+            start = len(boxes)
+            boxes.extend(raw["boxes"])
+            box_spans[i] = slice(start, len(boxes))
+        if "points" in raw:
+            start = len(points)
+            points.extend(raw["points"])
+            point_spans[i] = slice(start, len(points))
+    box_rows = _tier_rows(BoundingBox, boxes, box_spans, raws, pixel, bools)
+    point_rows = _tier_rows(PointAnnotation, points, point_spans, raws, pixel, bools)
+    return Dataset(doc.get("name"), tuple(
+        ImageRecord._of_rows(
+            id=raw.get("id"), width=raw["width"], height=raw["height"],
+            boxes=box_rows[box_spans[i]] if i in box_spans else None,
+            points=point_rows[point_spans[i]] if i in point_spans else None,
+            count=_count(raw, max_count), frame_path=raw.get("frame_path"),
+        )
+        for i, raw in enumerate(raws)
+    ))
 
 
 def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
     """Load and validate a JSON manifest.
 
-    Record-level violations are collected and reported together, each
-    naming the offending record id. ``max_count`` bounds explicit count
-    labels only; derived cardinalities are not restricted.
-
-    Each tier's entries in the whole file are read into one array and
-    checked at once; every record keeps views of those arrays.
+    ``max_count`` bounds explicit count labels only; derived cardinalities
+    are not restricted. A valid file loads in bulk: each tier's entries in
+    the whole file are read into one array and checked at once, and every
+    record keeps views of those arrays. If anything there fails, the file
+    loads again record by record, and that result stands: the error names
+    every bad record by its id, each with its first problem.
     """
     path = Path(path)
     try:
@@ -383,72 +420,26 @@ def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
     if coords not in ("normalized", "pixel"):
         raise ManifestError(f"{path}: coords must be 'normalized' or 'pixel', got {coords!r}")
     pixel = coords == "pixel"
-
-    raws = doc["records"]
-    errors: dict[int, str] = {}
-    # Pass 1: each record's dimensions, and its entries gathered into one
-    # list per tier, with the record's slice of that list.
-    boxes: list = []
-    points: list = []
-    box_spans: dict[int, slice] = {}
-    point_spans: dict[int, slice] = {}
-    for i, raw in enumerate(raws):
-        try:
-            if not isinstance(raw, dict):
-                raise ValueError(f"record entry must be an object, got {raw!r}")
-            _check_dims(raw.get("width"), raw.get("height"))  # pixel entries divide by them
-            # extend() raises TypeError for a tier that is not iterable.
-            if "boxes" in raw:
-                start = len(boxes)
-                boxes.extend(raw["boxes"])
-                box_spans[i] = slice(start, len(boxes))
-            if "points" in raw:
-                start = len(points)
-                points.extend(raw["points"])
-                point_spans[i] = slice(start, len(points))
-        except (ValueError, TypeError) as exc:
-            errors[i] = str(exc)
-    bools = "true" in text or "false" in text
-    box_rows = _tier_rows(BoundingBox, boxes, box_spans, raws, pixel, bools, errors)
-    point_rows = _tier_rows(PointAnnotation, points, point_spans, raws, pixel, bools, errors)
-
-    # Pass 2: counts and the record checks, on views of the tier arrays.
-    records: list[ImageRecord] = []
-    seen: set[str] = set()
-    for i, raw in enumerate(raws):
-        if i in errors:
-            continue
-        try:
-            count = None
-            if "count" in raw:
-                count = CountLabel(raw["count"])
-                if count.count > max_count:
-                    raise ValueError(f"count {count.count} exceeds max_count {max_count}")
-            box_span, point_span = box_spans.get(i), point_spans.get(i)
-            rec = ImageRecord._of_rows(
-                id=raw.get("id"),
-                width=raw["width"],
-                height=raw["height"],
-                boxes=None if box_span is None else box_rows[box_span],
-                points=None if point_span is None else point_rows[point_span],
-                count=count,
-                frame_path=raw.get("frame_path"),
-            )
-            if rec.id in seen:
-                raise ValueError("duplicate record id")
-            seen.add(rec.id)
-            records.append(rec)
-        except ValueError as exc:
-            errors[i] = str(exc)
-    if errors:
-        lines = []
-        for i in sorted(errors):
-            raw = raws[i]
-            label = raw.get("id", f"#{i}") if isinstance(raw, dict) else f"#{i}"
-            lines.append(f"record {label!r}: {errors[i]}")
-        raise ManifestError(f"{path}: {len(errors)} invalid record(s)\n" + "\n".join(lines))
     try:
-        return Dataset(doc.get("name"), tuple(records))
+        return _bulk_dataset(doc, pixel, "true" in text or "false" in text, max_count)
+    except (ValueError, TypeError, KeyError, OverflowError):
+        pass  # the per-record path below finds and words what is wrong
+
+    records: dict[str, ImageRecord] = {}
+    errors: list[str] = []
+    for i, raw in enumerate(doc["records"]):
+        try:
+            rec = _record_of(raw, pixel, max_count)
+            if rec.id in records:
+                raise ValueError("duplicate record id")
+            records[rec.id] = rec
+        except (ValueError, TypeError, OverflowError) as exc:
+            label = raw.get("id", f"#{i}") if isinstance(raw, dict) else f"#{i}"
+            errors.append(f"record {label!r}: {exc}")
+    if errors:
+        raise ManifestError(f"{path}: {len(errors)} invalid record(s)\n" + "\n".join(errors))
+    try:
+        return Dataset(doc.get("name"), tuple(records.values()))
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
 

@@ -24,8 +24,8 @@ class CountPair:
     pred: int
 
     def __post_init__(self) -> None:
-        if self.gt < 0 or self.pred < 0:
-            raise ValueError(f"counts must be non-negative, got gt={self.gt} pred={self.pred}")
+        if not (type(self.gt) is int and type(self.pred) is int and self.gt >= 0 and self.pred >= 0):
+            raise ValueError(f"counts must be non-negative integers, got gt={self.gt!r} pred={self.pred!r}")
 
 
 @dataclass(frozen=True)
@@ -174,13 +174,9 @@ def decide_count_regression(raw: float) -> int:
 
 def decide_count_classification(scores: Sequence[float]) -> int:
     """Index of the highest class score; ties resolve to the lowest index."""
-    if not scores:
-        raise ValueError("classification scores must be non-empty")
-    best = 0
-    for i in range(1, len(scores)):
-        if scores[i] > scores[best]:
-            best = i
-    return best
+    if not scores or not all(map(math.isfinite, scores)):
+        raise ValueError(f"classification scores must be non-empty and finite, got {scores!r}")
+    return max(range(len(scores)), key=scores.__getitem__)
 
 
 def report_to_dict(report: MetricsReport, model: str | None = None) -> dict:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import box_record, count_record, make_box, make_dataset, make_point
+from ircount import corpus
 from ircount.corpus import (
     BoundingBox,
     CountLabel,
@@ -584,8 +585,13 @@ def shaped_manifests(draw):
         dims = dims | st.sampled_from([0, True, 2.5, 10**400, 10**30])
     records = []
     for j in range(draw(st.integers(0, 5))):
+        if not clean and draw(st.integers(0, 7)) == 0:
+            records.append(draw(st.sampled_from([None, 3, "r0", [], [1, 2]])))  # not an object
+            continue
         rec = {"id": draw(st.sampled_from([f"r{j}", f"r{j}", "r0", "", 7, None])) if not clean else f"r{j}"}
         rec["width"], rec["height"] = draw(dims), draw(dims)
+        if not clean and draw(st.integers(0, 7)) == 0:
+            del rec[draw(st.sampled_from(["width", "height"]))]
         for name, n in (("boxes", 5), ("points", 3)):
             if draw(st.booleans()):
                 rec[name] = draw(tier(n))
@@ -632,15 +638,47 @@ def test_bulk_load_agrees_with_per_entry_load(tmp_path_factory, text):
         [{"id": "a", "width": 8, "height": 8, "boxes": [[0.5, 0.5, 0, 0.1, 1.0]]}],
         [{"id": "a", "width": 8, "height": 8, "boxes": [[0.5, 0.5, 0.1, -0.0, 1.0]]}],
         [{"id": "a", "width": 8, "height": 8, "boxes": [[-0.0, 0, 0.1, 0.1, 0]], "points": [[-0.0, 0, 0]]}],
+        [[0.5, 0.5, 0.1, 0.1, 1.0], {"id": "b", "width": 8, "height": 8, "count": 1}],
+        [{"id": "a", "height": 8, "count": 1}, {"id": "b", "width": 8, "height": 8, "boxes": [[9, 1, 1, 1, 1.0]]}],
+        {"name": "", "records": [{"id": "a", "width": 8, "height": 8, "points": [[0.5, 0.5, 1.0]]}]},
+        [{"id": "a", "width": 8, "height": 8, "count": 1}, {"id": "a", "width": 8, "height": 8, "count": 2}],
+        [{"id": "a", "width": 8, "height": 8, "count": 21}, {"id": "b", "width": 8, "height": 8, "count": 20}],
     ],
     ids=[
         "bad-box-outranks-bad-points-tier", "points-tier-not-iterable", "bool-point", "empty-dict-and-string-tiers",
         "huge-width-without-entries", "huge-width-with-entries", "huge-ints-that-divide-into-range", "true-in-a-string",
-        "zero-width", "negative-zero-height", "zero-coordinates-and-scores",
+        "zero-width", "negative-zero-height", "zero-coordinates-and-scores", "record-not-an-object",
+        "record-without-width", "empty-name", "duplicate-id", "count-above-max-count",
     ],
 )
 @pytest.mark.parametrize("coords", ["normalized", "pixel"])
 def test_bulk_load_agrees_with_per_entry_load_on_edge_cases(tmp_path, records, coords):
+    """``records`` is the records list, or the whole document when a case
+    sets the name too."""
+    doc = records if isinstance(records, dict) else {"name": "edge", "records": records}
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"name": "edge", "coords": coords, "records": records}))
+    path.write_text(json.dumps({**doc, "coords": coords}))
     assert load_outcome(load_manifest, path) == load_outcome(oracles.per_entry_load_manifest, path)
+
+
+def test_only_a_bad_manifest_takes_the_per_record_path(tmp_path, monkeypatch):
+    """A valid file never reaches the per-record builder, so a change that
+    sent every load down that slower path would fail here."""
+
+    class PerRecordPath(Exception):
+        pass
+
+    def builder(*args):
+        raise PerRecordPath
+
+    monkeypatch.setattr(corpus, "_record_of", builder)
+    ds = make_dataset(30)
+    save_manifest(ds, tmp_path / "counts.json")
+    assert load_manifest(tmp_path / "counts.json") == ds
+    (tmp_path / "pixel.json").write_text(json.dumps({"name": "p", "coords": "pixel", "records": [
+        {"id": "a", "width": 8, "height": 4, "boxes": [[4, 2, 2, 1, 0.5]], "points": [[4, 2, 1]], "frame_path": "f"},
+    ]}))
+    assert load_manifest(tmp_path / "pixel.json").records[0].boxes.tolist() == [[0.5, 0.5, 0.25, 0.25, 0.5]]
+    (tmp_path / "bad.json").write_text(json.dumps({"name": "b", "records": [{"id": "a", "width": 8, "height": 8}]}))
+    with pytest.raises(PerRecordPath):
+        load_manifest(tmp_path / "bad.json")

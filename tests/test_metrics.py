@@ -59,6 +59,12 @@ def test_count_pair_rejects_negative():
         CountPair("x", -1, 0)
 
 
+@pytest.mark.parametrize("gt, pred", [(1, 1.5), (2, True), ("x", 1), (2.0, 2), (1, None)])
+def test_count_pair_rejects_counts_that_are_not_ints(gt, pred):
+    with pytest.raises(ValueError, match="counts must be non-negative integers"):
+        CountPair("a", gt, pred)
+
+
 @given(count_pairs)
 def test_count_metrics_order_invariant(pairs):
     fwd = count_metrics(pairs)
@@ -263,6 +269,12 @@ def test_decide_count_classification_uniform_ties_to_zero():
 def test_decide_count_classification_empty():
     with pytest.raises(ValueError):
         decide_count_classification([])
+
+
+@pytest.mark.parametrize("scores", [[math.nan, 0.9], [0.1, math.nan, 0.9], [0.2, math.inf], [-math.inf, 0.0]])
+def test_decide_count_classification_rejects_non_finite_scores(scores):
+    with pytest.raises(ValueError, match="finite"):
+        decide_count_classification(scores)
 
 
 @given(st.lists(st.integers(-100, 100), min_size=1, max_size=21),
