@@ -12,27 +12,27 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
+
 from ircount import camloc, corpus, harness, metrics, postprocess
 from ircount.cli import emit_plot
-from ircount.corpus import BoundingBox, CountLabel, Dataset, ImageRecord
+from ircount.corpus import CountLabel, Dataset, ImageRecord
 
 
 def noisy_detector(scene, rng, jitter=0.01, extra_rate=0.6, miss_rate=0.04):
-    """Fake detector: jittered true boxes with mostly-high scores, a few
-    misses, and spurious boxes whose scores overlap the low end of the
-    true range, so no threshold is perfect."""
-    boxes = []
-    for b in scene.boxes:
+    """Fake detector: ``(k, 5)`` rows of jittered true boxes with
+    mostly-high scores, a few misses, and spurious boxes whose scores
+    overlap the low end of the true range, so no threshold is perfect."""
+    rows = []
+    for cx, cy, w, h, _ in scene.boxes.tolist():
         if rng.random() < miss_rate:
             continue
-        cx = min(1.0, max(0.0, b.cx + rng.uniform(-jitter, jitter)))
-        cy = min(1.0, max(0.0, b.cy + rng.uniform(-jitter, jitter)))
-        boxes.append(BoundingBox(cx, cy, b.w, b.h, rng.uniform(0.45, 0.99)))
+        cx = min(1.0, max(0.0, cx + rng.uniform(-jitter, jitter)))
+        cy = min(1.0, max(0.0, cy + rng.uniform(-jitter, jitter)))
+        rows.append((cx, cy, w, h, rng.uniform(0.45, 0.99)))
     for _ in range(rng.randrange(3) if rng.random() < extra_rate else 0):
-        boxes.append(
-            BoundingBox(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9), 0.1, 0.1, rng.uniform(0.05, 0.6))
-        )
-    return boxes
+        rows.append((rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9), 0.1, 0.1, rng.uniform(0.05, 0.6)))
+    return np.array(rows, dtype=np.float64).reshape(-1, 5)
 
 
 def noisy_count(truth, rng, error_rate=0.15):
@@ -59,14 +59,12 @@ def main() -> None:
         n = rng.randint(0, 6)
         scene = harness.synth_scene(n, 64, 64, blob_sigma=2.0, min_sep=16.0, seed=args.seed * 1000 + i)
         gt_records.append(
-            ImageRecord(f"img-{i:03d}", 64, 64, points=tuple(scene.points), count=CountLabel(n))
+            ImageRecord(f"img-{i:03d}", 64, 64, points=scene.points, count=CountLabel(n))
         )
-        det_records.append(
-            ImageRecord(f"img-{i:03d}", 64, 64, boxes=tuple(noisy_detector(scene, rng)))
-        )
+        det_records.append(ImageRecord(f"img-{i:03d}", 64, 64, boxes=noisy_detector(scene, rng)))
         located = camloc.locate_people(scene.amap, 27.0, noisy_count(n, rng), seed=i)
         cam_gt_sets.append(scene.points)
-        cam_pred_sets.append(list(located.points))
+        cam_pred_sets.append(located.points)
 
     gt = Dataset("synthetic-gt", tuple(gt_records))
     detections = Dataset("synthetic-det", tuple(det_records))
@@ -81,8 +79,7 @@ def main() -> None:
     # Score detector counts at the tuned threshold.
     pairs = []
     for g, d in corpus.aligned_records(gt, detections):
-        boxes = [BoundingBox(*row) for row in d.boxes.tolist()]
-        kept = postprocess.apply_detector_postprocessing(boxes, curve.best_threshold, 0.7)
+        kept = postprocess.apply_detector_postprocessing(d.boxes, curve.best_threshold, 0.7)
         pairs.append(metrics.CountPair(g.id, corpus.annotation_to_count(g).count, len(kept)))
     det_report = metrics.count_metrics(pairs, per_class=True)
 

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-Point = object  # anything with .cx/.cy, or a (x, y) pair; a set of them may also be a (k, >= 2) array of rows
+Point = Sequence[float]  # an (x, y, ...) row; a set of them may also be a (k, >= 2) array
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +139,16 @@ def _augment(c: np.ndarray, v: np.ndarray, col4row: list[int], row4col: list[int
 
 
 def _xy(points: Sequence[Point] | np.ndarray) -> np.ndarray:
-    if isinstance(points, np.ndarray) and points.ndim == 2:
-        return np.asarray(points[:, :2], dtype=np.float64)  # rows (x, y, ...), as ImageRecord arrays are
-    return np.array(
-        [(p.cx, p.cy) if hasattr(p, "cx") else (p[0], p[1]) for p in points], dtype=np.float64
-    ).reshape(-1, 2)
+    """The (x, y) columns of a set of rows; an empty sequence is an empty set."""
+    try:
+        rows = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"points must be (x, y, ...) rows of numbers: {exc}") from None
+    if rows.shape == (0,):
+        return rows.reshape(0, 2)
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise ValueError(f"points must be a (k, >= 2) array of (x, y, ...) rows, got shape {rows.shape}")
+    return rows[:, :2]
 
 
 def _in_unit(xy: np.ndarray) -> bool:
@@ -265,7 +270,7 @@ def _batch_distances(batch: list) -> Iterator[np.ndarray]:
     try:
         for points in batch:
             xy.append(_xy(points))
-    except Exception:
+    except ValueError:
         for rows in xy:  # a bad point in an earlier set is reported first
             _check_unit(rows)
         raise
@@ -306,9 +311,11 @@ def match_points(
     """Pair every point of the smaller set with a distinct point of the
     larger one at the least total Euclidean distance.
 
-    ``distances`` is the sets' ``(len(gt), len(pred))`` matrix when the
-    caller already has it from ``distance_matrices``; by default it is
-    computed here, the same way.
+    Each set is a ``(k, >= 2)`` array of (x, y, ...) rows, such as
+    ``ImageRecord.points``, or a sequence of such rows; a set of any other
+    shape is a ValueError. ``distances`` is the sets' ``(len(gt),
+    len(pred))`` matrix when the caller already has it from
+    ``distance_matrices``; by default it is computed here, the same way.
 
     The distance matrix is padded to a max(n, m) square with its largest
     entry and solved exactly. Every perfect assignment of that square uses

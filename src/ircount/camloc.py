@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from ircount._gridio import Grid, checked_grid, read_grid, write_grid
-from ircount.corpus import PointAnnotation
 from ircount.metrics import round_half_away
 
 CAM_TAG = "CAM"
@@ -46,16 +45,21 @@ class Component:
         return frozenset(zip(self.xs.tolist(), self.ys.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocateResult:
     """Points extracted from an activation map.
 
-    ``branch`` records which extraction path ran; ``degenerate`` flags the
+    ``points`` is a read-only ``(k, 3)`` float64 array of (cx, cy, score)
+    rows with score 1.0, the layout of ``ImageRecord.points``. ``branch``
+    records which extraction path ran; ``degenerate`` flags the
     empty-mask fallback where all points collapse onto the map argmax.
     """
 
-    points: tuple[PointAnnotation, ...]
+    points: np.ndarray
     branch: str
+
+    def __post_init__(self) -> None:
+        self.points.flags.writeable = False
 
     @property
     def degenerate(self) -> bool:
@@ -154,26 +158,25 @@ def find_components(mask: np.ndarray) -> list[Component]:
     ]
 
 
-def _pixel_point(px: int, py: int, width: int, height: int) -> PointAnnotation:
-    return PointAnnotation((px + 0.5) / width, (py + 0.5) / height)
+def _pixel_rows(xs: np.ndarray, ys: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Point rows at the centers of pixels (xs, ys), by (p + 0.5) / dimension."""
+    return np.column_stack(((xs + 0.5) / width, (ys + 0.5) / height, np.ones(len(xs))))
 
 
-def _centroid_point(comp: Component) -> PointAnnotation:
-    return PointAnnotation(comp.centroid[0], comp.centroid[1])
+def _centroid_rows(comps: list[Component]) -> np.ndarray:
+    return np.array([(*c.centroid, 1.0) for c in comps])
 
 
-def _sample_pixels(comp: Component, n: int, rng: random.Random) -> list[PointAnnotation]:
+def _sample_pixels(comp: Component, n: int, rng: random.Random) -> np.ndarray:
     # random picks the same indices from a range as from a list of its length.
     indices = range(comp.area)
     chosen = rng.sample(indices, n) if n <= comp.area else rng.choices(indices, k=n)
-    return [
-        _pixel_point(px, py, comp.width, comp.height)
-        for px, py in zip(comp.xs[chosen].tolist(), comp.ys[chosen].tolist())
-    ]
+    return _pixel_rows(comp.xs[chosen], comp.ys[chosen], comp.width, comp.height)
 
 
-def sample_inside(comp: Component, n: int, seed: int) -> list[PointAnnotation]:
-    """Draw n member pixels: without replacement when the area allows, with otherwise."""
+def sample_inside(comp: Component, n: int, seed: int) -> np.ndarray:
+    """Draw n member pixels as ``(n, 3)`` point rows at their centers:
+    without replacement when the area allows, with otherwise."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     return _sample_pixels(comp, n, random.Random(seed))
@@ -197,45 +200,44 @@ def locate_people(
         up from the largest component to land exactly on the count.
 
     An above-threshold-empty map with a positive count falls back to
-    repeating the map argmax, flagged via ``degenerate``.
+    repeating the map argmax, flagged via ``degenerate``. The threshold
+    must be finite whatever the count.
     """
     if num_instances < 0:
         raise ValueError(f"num_instances must be >= 0, got {num_instances}")
+    mask = binarize(amap, binary_threshold)
     if num_instances == 0:
-        return LocateResult((), "none")
-    comps = find_components(binarize(amap, binary_threshold))
+        return LocateResult(np.empty((0, 3)), "none")
+    comps = find_components(mask)
     if not comps:
-        flat_idx = int(np.argmax(amap.values))
-        py, px = divmod(flat_idx, amap.width)
-        point = _pixel_point(px, py, amap.width, amap.height)
-        return LocateResult((point,) * num_instances, "empty-mask")
+        py, px = divmod(int(np.argmax(amap.values)), amap.width)
+        point = _pixel_rows(np.array([px]), np.array([py]), amap.width, amap.height)
+        return LocateResult(np.repeat(point, num_instances, axis=0), "empty-mask")
 
     if num_instances == len(comps):
-        return LocateResult(tuple(_centroid_point(c) for c in comps), "exact")
+        return LocateResult(_centroid_rows(comps), "exact")
 
     if num_instances < len(comps):
         by_area = sorted(comps, key=lambda c: -c.area)
-        points = tuple(_centroid_point(c) for c in by_area[:num_instances])
-        return LocateResult(points, "largest")
+        return LocateResult(_centroid_rows(by_area[:num_instances]), "largest")
 
     rng = random.Random(seed)
     total_area = sum(c.area for c in comps)
     avg = total_area / num_instances
-    emitted: list[PointAnnotation] = []
+    # The areas over avg sum to num_instances > len(comps), so one of them
+    # is above 1 and its share at least 1: emitted is never empty.
+    emitted = []
     for comp in comps:
         share = round_half_away(comp.area / avg)
-        if share == 0:
-            continue
         if share == 1:
-            emitted.append(_centroid_point(comp))
-        else:
-            emitted.extend(_sample_pixels(comp, share, rng))
-    if len(emitted) > num_instances:
-        emitted = emitted[:num_instances]
-    elif len(emitted) < num_instances:
+            emitted.append(_centroid_rows([comp]))
+        elif share > 1:
+            emitted.append(_sample_pixels(comp, share, rng))
+    shortfall = num_instances - sum(map(len, emitted))
+    if shortfall > 0:
         largest = max(comps, key=lambda c: c.area)
-        emitted.extend(_sample_pixels(largest, num_instances - len(emitted), rng))
-    return LocateResult(tuple(emitted), "split")
+        emitted.append(_sample_pixels(largest, shortfall, rng))
+    return LocateResult(np.concatenate(emitted)[:num_instances], "split")
 
 
 def read_activation_map(path: str | Path) -> Grid:

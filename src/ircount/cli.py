@@ -247,7 +247,7 @@ def _cmd_locate_cam(args: argparse.Namespace) -> None:
     result = camloc.locate_people(amap, args.threshold, args.count, seed)
     _emit(
         {
-            "points": [[p.cx, p.cy] for p in result.points],
+            "points": result.points[:, :2].tolist(),
             "count": args.count,
             "branch": result.branch,
             "degenerate": result.degenerate,
@@ -269,7 +269,7 @@ def _cmd_convert(args: argparse.Namespace) -> None:
         if args.to == "points":
             if rec.boxes is None:
                 raise ValueError(f"{args.infile}: record {rec.id!r} has no boxes to convert")
-            records.append(replace(rec, boxes=None, points=rec.boxes[:, [0, 1, 4]]))
+            records.append(replace(rec, boxes=None, points=corpus.boxes_to_points(rec.boxes)))
         else:  # count
             records.append(
                 replace(rec, boxes=None, points=None, count=corpus.annotation_to_count(rec))
@@ -341,13 +341,7 @@ def _cmd_synth(args: argparse.Namespace) -> None:
     map_path = out_dir / "map.cam"
     camloc.write_activation_map(scene.amap, map_path)
     record = ImageRecord(
-        f"synth-{seed}-0",
-        width,
-        height,
-        tuple(scene.boxes),
-        tuple(scene.points),
-        corpus.CountLabel(args.n),
-        "map.cam",
+        f"synth-{seed}-0", width, height, scene.boxes, scene.points, corpus.CountLabel(args.n), "map.cam"
     )
     manifest_path = out_dir / "scene.json"
     corpus.save_manifest(Dataset(f"synth[{args.n}@{args.dims}]", (record,)), manifest_path)

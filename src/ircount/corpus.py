@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -255,9 +255,10 @@ def aligned_records(gt: Dataset, pred: Dataset) -> list[tuple[ImageRecord, Image
     return [(rec, pred_index[rec.id]) for rec in gt.records]
 
 
-def boxes_to_points(boxes: Sequence[BoundingBox]) -> list[PointAnnotation]:
-    """Reduce boxes to their center points, keeping order and scores."""
-    return [PointAnnotation(b.cx, b.cy, b.score) for b in boxes]
+def boxes_to_points(boxes: np.ndarray) -> np.ndarray:
+    """Reduce ``(k, 5)`` box rows to ``(k, 3)`` point rows of their
+    centers and scores, in order."""
+    return boxes[:, [0, 1, 4]]
 
 
 def annotation_to_count(record: ImageRecord) -> CountLabel:

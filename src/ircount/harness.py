@@ -18,7 +18,7 @@ import numpy as np
 
 from ircount._gridio import Grid
 from ircount.camloc import CAM_RANGE
-from ircount.corpus import BoundingBox, Dataset, PointAnnotation
+from ircount.corpus import Dataset
 from ircount.metrics import round_half_away
 from ircount.postprocess import check_curve
 
@@ -67,11 +67,12 @@ class BenchStats:
 
 
 class SynthScene(NamedTuple):
-    """A rendered activation map with its planted ground truth."""
+    """A rendered activation map with its planted ground truth: ``(n, 3)``
+    point rows and ``(n, 5)`` box rows, laid out as ``ImageRecord``'s."""
 
     amap: Grid
-    points: list[PointAnnotation]
-    boxes: list[BoundingBox]
+    points: np.ndarray
+    boxes: np.ndarray
 
 
 DEFAULT_FRACTIONS = tuple(round(0.1 * k, 1) for k in range(1, 11))
@@ -261,8 +262,11 @@ def synth_scene(
 
     Centers sit on pixel positions at least ``min_sep`` pixels apart and at
     least two sigma from every border. Each person gets a center point and
-    a four-sigma-wide box; the annotations use the same (p + 0.5)/dim
-    normalization as component centroids.
+    a four-sigma-wide box, both with score 1.0; the annotations use the
+    same (p + 0.5)/dim normalization as component centroids.
+
+    A count above either packing bound raises before any placement; below
+    them, placement gives up after ``MAX_ATTEMPTS_PER_BLOB`` per person.
     """
     if n_people < 0:
         raise ValueError(f"n_people must be >= 0, got {n_people}")
@@ -271,9 +275,16 @@ def synth_scene(
     if not 0.0 < blob_sigma < math.inf:
         raise ValueError(f"blob_sigma must be positive and finite, got {blob_sigma}")
     margin = max(1, math.ceil(2 * blob_sigma))
-    if n_people and (width - 1 - margin < margin or height - 1 - margin < margin):
+    w, h = width - 1 - 2 * margin, height - 1 - 2 * margin  # centers span [margin, margin + w] in x, likewise y
+    if n_people and min(w, h) < 0:
+        raise ValueError(f"no room for blobs: {width} x {height} with margin {margin}")
+    # Packing bounds: one center per pixel, and the disks of diameter min_sep
+    # around the centers do not overlap and stay in that box grown by min_sep / 2.
+    fit = min((w + 1) * (h + 1), 4 / math.pi * (w + min_sep) / min_sep * (h + min_sep) / min_sep)
+    if n_people > max(fit, 0):
         raise ValueError(
-            f"no room for blobs: {width} x {height} with margin {margin}"
+            f"could not place {n_people} centers >= {min_sep} px apart "
+            f"in {width} x {height}: at most {math.floor(fit)} fit"
         )
     rng = random.Random(seed)
     centers: list[tuple[int, int]] = []
@@ -289,8 +300,7 @@ def synth_scene(
         if all(math.hypot(cand[0] - cx, cand[1] - cy) >= min_sep for cx, cy in centers):
             centers.append(cand)
     amap = render_blobs(width, height, centers, blob_sigma)
-    points = [PointAnnotation((cx + 0.5) / width, (cy + 0.5) / height) for cx, cy in centers]
-    box_w = min(1.0, 4.0 * blob_sigma / width)
-    box_h = min(1.0, 4.0 * blob_sigma / height)
-    boxes = [BoundingBox(p.cx, p.cy, box_w, box_h, p.score) for p in points]
-    return SynthScene(amap, points, boxes)
+    xy = (np.array(centers, dtype=np.float64).reshape(-1, 2) + 0.5) / (width, height)
+    ones = np.ones((n_people, 1))
+    size = (min(1.0, 4.0 * blob_sigma / width), min(1.0, 4.0 * blob_sigma / height))
+    return SynthScene(amap, np.hstack((xy, ones)), np.hstack((xy, ones * size, ones)))

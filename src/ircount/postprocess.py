@@ -94,22 +94,27 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def confidence_filter(boxes: Sequence[BoundingBox], conf: float) -> list[BoundingBox]:
-    """Keep boxes scoring at least ``conf``, preserving order."""
+def _box_rows(boxes: np.ndarray) -> np.ndarray:
+    if np.ndim(boxes) != 2 or np.shape(boxes)[1] != 5:
+        raise ValueError(f"boxes must be (k, 5) rows of (cx, cy, w, h, score), got shape {np.shape(boxes)}")
+    return np.asarray(boxes, dtype=np.float64)
+
+
+def confidence_filter(boxes: np.ndarray, conf: float) -> np.ndarray:
+    """The ``(k, 5)`` rows scoring at least ``conf``, in their order."""
     if not 0.0 <= conf <= 1.0:
         raise ValueError(f"confidence threshold must be in [0, 1], got {conf}")
-    return [b for b in boxes if b.score >= conf]
+    boxes = _box_rows(boxes)
+    return boxes[boxes[:, 4] >= conf]
 
 
-def nms(boxes: Sequence[BoundingBox] | np.ndarray, iou_thresh: float) -> list[BoundingBox] | np.ndarray:
-    """Greedy non-maximum suppression.
+def nms(boxes: np.ndarray, iou_thresh: float) -> np.ndarray:
+    """Greedy non-maximum suppression over ``(k, 5)`` rows of
+    (cx, cy, w, h, score), such as ``ImageRecord.boxes``.
 
     Boxes are visited by descending score (ties by original index); a box
     is kept unless it overlaps an already-kept box with IoU strictly above
-    the threshold. The kept boxes come back in their original input order:
-    as a list of the given boxes, or, given a ``(k, 5)`` array of
-    (cx, cy, w, h, score) rows such as ``ImageRecord.boxes``, as an
-    array of the kept rows.
+    the threshold. The kept rows come back in their original order.
 
     Overlaps are computed on arrays with the same corner and union
     arithmetic as :func:`iou`, so every IoU is bit-identical to it. At
@@ -117,10 +122,7 @@ def nms(boxes: Sequence[BoundingBox] | np.ndarray, iou_thresh: float) -> list[Bo
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"IoU threshold must be in [0, 1], got {iou_thresh}")
-    if isinstance(boxes, np.ndarray):
-        arr = np.asarray(boxes, dtype=np.float64).reshape(-1, 5)
-    else:
-        arr = np.array([(b.cx, b.cy, b.w, b.h, b.score) for b in boxes], dtype=np.float64).reshape(-1, 5)
+    arr = _box_rows(boxes)
     order = np.argsort(-arr[:, 4], kind="stable")
     # cx, cy, w, h as contiguous rows, boxes in visiting order: a block of
     # boxes is then a slice, and corners and areas use iou()'s arithmetic.
@@ -149,7 +151,7 @@ def nms(boxes: Sequence[BoundingBox] | np.ndarray, iou_thresh: float) -> list[Bo
             if not removed[start + r]:
                 removed |= over[r]
     kept = np.sort(order[~removed])
-    return arr[kept] if isinstance(boxes, np.ndarray) else [boxes[i] for i in kept.tolist()]
+    return arr[kept]
 
 
 def default_grid(step: float = 0.001) -> list[float]:
@@ -210,10 +212,9 @@ def tune_threshold(
     return ThresholdCurve(grid, accuracies)
 
 
-def apply_detector_postprocessing(
-    boxes: Sequence[BoundingBox], conf: float, iou_thresh: float
-) -> list[BoundingBox]:
-    """NMS followed by confidence filtering, the deployment-time pipeline."""
+def apply_detector_postprocessing(boxes: np.ndarray, conf: float, iou_thresh: float) -> np.ndarray:
+    """NMS followed by confidence filtering, the deployment-time pipeline,
+    on ``(k, 5)`` box rows."""
     return confidence_filter(nms(boxes, iou_thresh), conf)
 
 

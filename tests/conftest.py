@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from ircount.corpus import BoundingBox, CountLabel, Dataset, ImageRecord, PointAnnotation
@@ -9,6 +10,11 @@ from ircount.corpus import BoundingBox, CountLabel, Dataset, ImageRecord, PointA
 
 def make_box(cx=0.5, cy=0.5, w=0.1, h=0.1, score=1.0):
     return BoundingBox(cx, cy, w, h, score)
+
+
+def box_rows(boxes):
+    """The ``(k, 5)`` rows of ``BoundingBox`` items, as ``ImageRecord.boxes`` holds them."""
+    return np.array([(b.cx, b.cy, b.w, b.h, b.score) for b in boxes], dtype=np.float64).reshape(-1, 5)
 
 
 def make_point(cx=0.5, cy=0.5, score=1.0):

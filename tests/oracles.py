@@ -37,17 +37,14 @@ def naive_nms(boxes, thresh):
 
 
 def accuracy_at_threshold(pred, gt, conf, nms_iou=0.7):
-    """Count accuracy of box predictions at one confidence threshold."""
+    """Count accuracy of box predictions at one confidence threshold: the
+    boxes left of each record's rows after NMS and the confidence filter."""
     pairs = []
     for gt_rec, pred_rec in aligned_records(gt, pred):
-        items = [] if pred_rec.boxes is None else [BoundingBox(*row) for row in pred_rec.boxes.tolist()]
-        boxes = apply_detector_postprocessing(items, conf, nms_iou)
+        rows = np.empty((0, 5)) if pred_rec.boxes is None else pred_rec.boxes
+        boxes = apply_detector_postprocessing(rows, conf, nms_iou)
         pairs.append(CountPair(gt_rec.id, annotation_to_count(gt_rec).count, len(boxes)))
     return count_metrics(pairs).accuracy
-
-
-def _xy(point):
-    return (point.cx, point.cy) if hasattr(point, "cx") else (point[0], point[1])
 
 
 def reference_hungarian(costs):
@@ -122,8 +119,8 @@ def brute_force_match(gt, pred, penalty=1.0):
         raise ValueError(f"instance too large for brute force: {n} x {m} (max side 8)")
     if n == 0 and m == 0:
         return MatchResult((), 0, 0)
-    gt_xy = [_xy(g) for g in gt]
-    pred_xy = [_xy(p) for p in pred]
+    gt_xy = [(g[0], g[1]) for g in gt]
+    pred_xy = [(p[0], p[1]) for p in pred]
     dist = [[math.hypot(gx - px, gy - py) for px, py in pred_xy] for gx, gy in gt_xy]
 
     best_perm = None

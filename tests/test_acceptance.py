@@ -195,7 +195,7 @@ def test_c05_locate_protocol_on_synthetic_scenes():
             n = 1 + (i // 3) % 8
             scene = synth_scene(n, 64, 64, blob_sigma=2.0, min_sep=16.0, seed=5000 + i)
             result = locate_people(scene.amap, 27.0, n, seed=i)
-            centers = [(round(p.cx * 64 - 0.5), round(p.cy * 64 - 0.5)) for p in scene.points]
+            centers = [(round(x * 64 - 0.5), round(y * 64 - 0.5)) for x, y, _ in scene.points.tolist()]
             if result.branch != "exact" or not _points_match_centers(result.points, centers):
                 failures.append((i, "exact", result.branch))
         elif case == 1:  # extra small blobs: the largest areas win
@@ -213,7 +213,7 @@ def test_c05_locate_protocol_on_synthetic_scenes():
             result = locate_people(amap, 27.0, num, seed=i)
             comps = find_components(binarize(amap, 27.0))
             member = set().union(*(c.pixels for c in comps))
-            inside = all((int(p.cx * 64), int(p.cy * 64)) in member for p in result.points)
+            inside = all((int(x * 64), int(y * 64)) in member for x, y, _ in result.points.tolist())
             if result.branch != "split" or len(result.points) != num or not inside:
                 failures.append((i, "split", result.branch))
     elapsed = time.perf_counter() - start
@@ -283,7 +283,8 @@ def test_c07_iou_hand_cases_and_nms_oracle():
             for _ in range(10)
         ]
         thresh = rng.random()
-        if nms(boxes, thresh) != [boxes[i] for i in _naive_nms_indices(boxes, thresh)]:
+        rows = np.array([(b.cx, b.cy, b.w, b.h, b.score) for b in boxes])
+        if nms(rows, thresh).tolist() != rows[_naive_nms_indices(boxes, thresh)].tolist():
             nms_ok = False
             break
     ok = hand_ok and nms_ok

@@ -370,3 +370,39 @@ def test_distance_matrices_equal_one_image_at_a_time_across_batches():
     for g, p, d in zip(gt_sets, pred_sets, got):
         want = [[math.hypot(gx - px, gy - py) for px, py in p.tolist()] for gx, gy, _ in g.tolist()]
         assert [[v.hex() for v in row] for row in d.tolist()] == [[v.hex() for v in row] for row in want]
+
+
+@pytest.mark.parametrize(
+    "points, shape",
+    [
+        (np.zeros((3, 1)), r"\(3, 1\)"),
+        (np.zeros((2, 2, 2)), r"\(2, 2, 2\)"),
+        (np.zeros(4), r"\(4,\)"),
+        ([(0.1,), (0.2,)], r"\(2, 1\)"),
+    ],
+)
+def test_match_points_names_the_shape_of_a_bad_point_set(points, shape):
+    for gt, pred in ((points, [(0.1, 0.1)]), ([(0.1, 0.1)], points)):
+        with pytest.raises(ValueError, match=rf"\(k, >= 2\) array .* got shape {shape}$"):
+            match_points(gt, pred)
+
+
+@pytest.mark.parametrize("points", [[(0.1, 0.2), (0.3,)], ["ab"], [(0.1, "x")], [object()]])
+def test_match_points_rejects_point_sets_that_are_not_rows_of_numbers(points):
+    with pytest.raises(ValueError, match="rows of numbers"):
+        match_points(points, [(0.1, 0.1)])
+
+
+def test_point_sets_take_empty_sequences_and_arrays_of_rows():
+    rows = np.array([[0.25, 0.5, 1.0], [0.75, 0.5, 1.0]])
+    assert match_points([], rows) == MatchResult((), 0, 2)
+    assert match_points(rows, np.empty(0)) == MatchResult((), 2, 0)
+    assert match_points(rows, list(rows)) == match_points(rows, rows.tolist()) == match_points(rows, rows[:, :2])
+
+
+def test_maed_reports_an_earlier_bad_point_before_a_later_bad_shape():
+    good, far = [(0.1, 0.1)], [(2.0, 0.2)]
+    with pytest.raises(ValueError, match=r"got \(2.0, 0.2\)$"):
+        maed([good, good], [far, np.zeros((1, 1))])
+    with pytest.raises(ValueError, match=r"got shape \(1, 1\)$"):
+        maed([good, good], [np.zeros((1, 1)), far])

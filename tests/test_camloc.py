@@ -228,25 +228,28 @@ def test_component_from_pixels_validates():
         component_from_pixels([(1, 1), (2, 1), (1, 1)], 4, 4)
 
 
+def same_result(a, b):
+    return a.branch == b.branch and a.points.tolist() == b.points.tolist()
+
+
 def test_sample_inside_single_pixel():
     comp = component_from_pixels([(2, 3)], 8, 8)
     pts = sample_inside(comp, 1, seed=5)
-    assert pts == [pts[0]]
-    assert (pts[0].cx, pts[0].cy) == ((2 + 0.5) / 8, (3 + 0.5) / 8)
+    assert pts.tolist() == [[(2 + 0.5) / 8, (3 + 0.5) / 8, 1.0]]
 
 
 def test_sample_inside_full_area_returns_all_pixels():
     pixels = square(1, 1, side=2)
     comp = component_from_pixels(pixels, 8, 8)
     pts = sample_inside(comp, comp.area, seed=0)
-    got = {(round(p.cx * 8 - 0.5), round(p.cy * 8 - 0.5)) for p in pts}
+    got = {(round(x * 8 - 0.5), round(y * 8 - 0.5)) for x, y, _ in pts.tolist()}
     assert got == set(pixels)
 
 
 def test_sample_inside_deterministic_per_seed():
     comp = component_from_pixels(square(0, 0, side=4), 8, 8)
-    assert sample_inside(comp, 5, seed=11) == sample_inside(comp, 5, seed=11)
-    assert sample_inside(comp, 5, seed=11) != sample_inside(comp, 5, seed=12)
+    assert sample_inside(comp, 5, seed=11).tolist() == sample_inside(comp, 5, seed=11).tolist()
+    assert sample_inside(comp, 5, seed=11).tolist() != sample_inside(comp, 5, seed=12).tolist()
 
 
 def test_sample_inside_with_replacement_when_oversampling():
@@ -267,7 +270,24 @@ def separated_scene(n, seed=0):
 
 def test_locate_people_zero_instances():
     _, amap = separated_scene(3)
-    assert locate_people(amap, 27.0, 0) == LocateResult((), "none")
+    result = locate_people(amap, 27.0, 0)
+    assert result.branch == "none" and result.points.shape == (0, 3)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+def test_locate_people_checks_the_threshold_whatever_the_count(count, threshold):
+    _, amap = separated_scene(1)
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        locate_people(amap, threshold, count)
+
+
+@pytest.mark.parametrize("count", [0, 3, 7])
+def test_locate_result_points_are_read_only_record_rows(count):
+    _, amap = separated_scene(3, seed=4)
+    points = locate_people(amap, 27.0, count, seed=0).points
+    assert points.shape == (count, 3) and points.dtype == np.float64
+    assert (points[:, 2] == 1.0).all() and not points.flags.writeable
 
 
 def test_locate_people_exact_branch_recovers_centers():
@@ -276,8 +296,8 @@ def test_locate_people_exact_branch_recovers_centers():
     assert result.branch == "exact"
     assert not result.degenerate
     planted = [((cx + 0.5) / 64, (cy + 0.5) / 64) for cx, cy in centers]
-    match = match_points(planted, list(result.points))
-    assert result.points and match.unmatched_gt == match.unmatched_pred == 0
+    match = match_points(planted, result.points)
+    assert len(result.points) and match.unmatched_gt == match.unmatched_pred == 0
     assert max(d for _, _, d in match.pairs) <= 1.5 / 64
 
 
@@ -287,7 +307,7 @@ def test_locate_people_largest_branch_picks_biggest_areas():
     amap = render_blobs(64, 64, big + small, [3.0, 3.0, 1.0, 1.0, 1.0])
     result = locate_people(amap, 27.0, 2, seed=0)
     assert result.branch == "largest"
-    got = sorted((round(p.cx * 64 - 0.5), round(p.cy * 64 - 0.5)) for p in result.points)
+    got = sorted((round(x * 64 - 0.5), round(y * 64 - 0.5)) for x, y, _ in result.points.tolist())
     assert got == sorted(big)
 
 
@@ -302,7 +322,7 @@ def test_locate_people_largest_branch_breaks_area_ties_by_scan_order():
     for count, chosen in ((2, [block, snake]), (3, [block, snake, bar])):
         result = locate_people(amap, 27.0, count, seed=0)
         assert result.branch == "largest"
-        got = [(p.cx, p.cy) for p in result.points]
+        got = [(x, y) for x, y, _ in result.points.tolist()]
         assert got == [component_from_pixels(c, 20, 20).centroid for c in chosen]
 
 
@@ -312,23 +332,22 @@ def test_locate_people_split_branch_membership_and_count():
     assert result.branch == "split"
     assert len(result.points) == 3
     comp = find_components(binarize(amap, 27.0))[0]
-    for p in result.points:
-        pixel = (int(p.cx * 64), int(p.cy * 64))
-        assert pixel in comp.pixels
+    for x, y, _ in result.points.tolist():
+        assert (int(x * 64), int(y * 64)) in comp.pixels
 
 
 def test_locate_people_split_branch_deterministic():
     amap = render_blobs(64, 64, [(20, 20), (44, 44)], 3.0)
     a = locate_people(amap, 27.0, 7, seed=21)
     b = locate_people(amap, 27.0, 7, seed=21)
-    assert a == b
+    assert same_result(a, b)
     assert len(a.points) == 7
 
 
 def test_locate_people_exact_and_largest_ignore_seed():
     centers, amap = separated_scene(4, seed=8)
-    assert locate_people(amap, 27.0, 4, seed=0) == locate_people(amap, 27.0, 4, seed=99)
-    assert locate_people(amap, 27.0, 2, seed=0) == locate_people(amap, 27.0, 2, seed=99)
+    assert same_result(locate_people(amap, 27.0, 4, seed=0), locate_people(amap, 27.0, 4, seed=99))
+    assert same_result(locate_people(amap, 27.0, 2, seed=0), locate_people(amap, 27.0, 2, seed=99))
 
 
 def test_locate_people_empty_mask_fallback():
@@ -338,7 +357,7 @@ def test_locate_people_empty_mask_fallback():
     result = locate_people(amap, 27.0, 3, seed=0)
     assert result.degenerate and result.branch == "empty-mask"
     assert len(result.points) == 3
-    assert {(p.cx, p.cy) for p in result.points} == {((6 + 0.5) / 8, (5 + 0.5) / 8)}
+    assert result.points.tolist() == [[(6 + 0.5) / 8, (5 + 0.5) / 8, 1.0]] * 3
 
 
 def test_locate_people_rejects_negative_count():
@@ -413,4 +432,4 @@ def test_locate_cam_output_is_pinned(tmp_path, seed, count, threshold, branch, d
 
 @pytest.mark.parametrize("branch", ["none", "exact", "largest", "split", "empty-mask"])
 def test_locate_result_is_degenerate_only_on_the_empty_mask_branch(branch):
-    assert LocateResult((), branch).degenerate is (branch == "empty-mask")
+    assert LocateResult(np.empty((0, 3)), branch).degenerate is (branch == "empty-mask")

@@ -657,6 +657,10 @@ def test_write_text_atomic_keeps_a_temp_name_it_did_not_create(tmp_path, monkeyp
     [
         (["locate-cam", "--map", "{ok}", "--count", "1", "--threshold", "nan"], None,
          "threshold must be finite, got nan"),
+        (["locate-cam", "--map", "{ok}", "--count", "0", "--threshold", "nan", "--out", "{out}"], None,
+         "threshold must be finite, got nan"),
+        (["synth", "--n", "3000", "--dims", "640x512", "--out", "{out}"], None,
+         "could not place 3000 centers >= 16.0 px apart in 640 x 512: at most 1670 fit"),
         (["synth", "--n", "1", "--dims", "16x16", "--out", "{out}"], "abc",
          "IRCOUNT_SEED must be an integer, got 'abc'"),
         (["eval-locate", "--gt", "{counts}", "--pred", "{counts}"], None,
@@ -667,7 +671,8 @@ def test_write_text_atomic_keeps_a_temp_name_it_did_not_create(tmp_path, monkeyp
         (["locate-cam", "--map", "{no_dims}", "--count", "1"], None, "{no_dims}: missing dimensions line"),
         (["locate-cam", "--map", "{bad_dims}", "--count", "1"], None, "{bad_dims}: non-integer dimensions '4 x'"),
     ],
-    ids=["threshold-nan", "seed-env", "count-only-locate", "dims", "fractions", "no-dims-line", "bad-dims"],
+    ids=["threshold-nan", "threshold-nan-count-0", "synth-too-many", "seed-env", "count-only-locate", "dims",
+         "fractions", "no-dims-line", "bad-dims"],
 )
 def test_cli_error_exits_1_with_its_message(tmp_path, capsys, monkeypatch, argv, seed_env, message):
     paths = {

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import box_record, count_record, make_box, make_dataset, make_point
+from conftest import box_record, box_rows, count_record, make_box, make_dataset, make_point
 from ircount import corpus
 from ircount.corpus import (
     BoundingBox,
@@ -143,7 +143,7 @@ def test_dataset_rejects_duplicate_ids():
 
 
 def test_boxes_to_points_empty():
-    assert boxes_to_points([]) == []
+    assert boxes_to_points(np.empty((0, 5))).shape == (0, 3)
 
 
 def test_boxes_to_points_keeps_centers_scores_order():
@@ -152,10 +152,8 @@ def test_boxes_to_points_keeps_centers_scores_order():
         make_box(0.1, 0.9, 0.05, 0.05, score=0.25),
         make_box(0.7, 0.2, 0.3, 0.1, score=0.5),
     ]
-    points = boxes_to_points(boxes)
-    assert len(points) == 3
-    for b, p in zip(boxes, points):
-        assert (p.cx, p.cy, p.score) == (b.cx, b.cy, b.score)
+    points = boxes_to_points(box_rows(boxes))
+    assert points.tolist() == [[b.cx, b.cy, b.score] for b in boxes]
 
 
 def test_annotation_to_count_priority():
@@ -547,7 +545,7 @@ def test_aligned_records_reports_differences():
 def test_count_invariant_under_box_to_point_conversion():
     boxes = [make_box(cx=i / 10, cy=i / 10) for i in range(1, 7)]
     rec_boxes = box_record("r", boxes)
-    rec_points = ImageRecord("r", 64, 64, points=tuple(boxes_to_points(boxes)))
+    rec_points = ImageRecord("r", 64, 64, points=boxes_to_points(rec_boxes.boxes))
     assert annotation_to_count(rec_boxes) == annotation_to_count(rec_points)
 
 

@@ -218,16 +218,16 @@ def test_process_predictor_close_reaps_child_that_ignores_eof_and_sigterm(monkey
 
 def test_synth_scene_zero_people():
     scene = synth_scene(0, 32, 32, seed=1)
-    assert scene.points == [] and scene.boxes == []
+    assert scene.points.shape == (0, 3) and scene.boxes.shape == (0, 5)
     assert not scene.amap.values.any()
 
 
 def test_synth_scene_separation_and_determinism():
     a = synth_scene(4, 64, 64, blob_sigma=2.0, min_sep=16.0, seed=12)
     b = synth_scene(4, 64, 64, blob_sigma=2.0, min_sep=16.0, seed=12)
-    assert a.points == b.points
+    assert a.points.tolist() == b.points.tolist()
     assert np.array_equal(a.amap.values, b.amap.values)
-    px = [(p.cx * 64 - 0.5, p.cy * 64 - 0.5) for p in a.points]
+    px = [(x * 64 - 0.5, y * 64 - 0.5) for x, y, _ in a.points.tolist()]
     for i in range(len(px)):
         for j in range(i + 1, len(px)):
             dist = ((px[i][0] - px[j][0]) ** 2 + (px[i][1] - px[j][1]) ** 2) ** 0.5
@@ -236,7 +236,8 @@ def test_synth_scene_separation_and_determinism():
 
 def test_synth_scene_boxes_reduce_to_points():
     scene = synth_scene(5, 96, 64, blob_sigma=2.0, min_sep=18.0, seed=3)
-    assert boxes_to_points(scene.boxes) == scene.points
+    assert boxes_to_points(scene.boxes).tolist() == scene.points.tolist()
+    assert (scene.boxes[:, 2:] == (4 * 2.0 / 96, 4 * 2.0 / 64, 1.0)).all()
 
 
 def test_synth_scene_peak_and_range():
@@ -248,6 +249,25 @@ def test_synth_scene_peak_and_range():
 def test_synth_scene_infeasible_placement():
     with pytest.raises(ValueError, match="could not place"):
         synth_scene(12, 20, 20, blob_sigma=2.0, min_sep=30.0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "args,fit",
+    [
+        ((3000, 640, 512), 1670),  # disk-area bound, min_sep 16
+        ((145, 20, 20, 2.0, 0.5), 144),  # lattice bound: 12 x 12 candidate pixels
+    ],
+)
+def test_synth_scene_rejects_counts_above_the_packing_bounds_at_once(monkeypatch, args, fit):
+    monkeypatch.setattr(harness.random.Random, "randint", lambda *a: pytest.fail("placement started"))
+    with pytest.raises(ValueError, match=f"could not place {args[0]} .* at most {fit} fit"):
+        synth_scene(*args)
+
+
+def test_synth_scene_fills_every_candidate_pixel_at_the_lattice_bound():
+    scene = synth_scene(144, 20, 20, blob_sigma=2.0, min_sep=0.5, seed=0)
+    px = {(round(x * 20 - 0.5), round(y * 20 - 0.5)) for x, y, _ in scene.points.tolist()}
+    assert px == {(x, y) for x in range(4, 16) for y in range(4, 16)}
 
 
 def test_synth_scene_rejects_tiny_canvas():
@@ -274,7 +294,7 @@ def test_end_to_end_synth_locate_maed_loop():
         scene = synth_scene(n, 64, 64, blob_sigma=2.0, min_sep=16.0, seed=seed)
         result = locate_people(scene.amap, 27.0, n, seed=seed)
         assert len(result.points) == n
-        assert maed([scene.points], [list(result.points)]) < bound
+        assert maed([scene.points], [result.points]) < bound
 
 
 def test_fraction_curve_validation():
@@ -344,6 +364,8 @@ def test_bench_per_iter_cap_bounds_the_samples(monkeypatch):
 
 
 def test_synth_scene_attempt_budget_is_per_person(monkeypatch):
+    # Two centers pass both packing bounds here, but no two of the 12 x 12
+    # candidate pixels are 30 px apart.
     monkeypatch.setattr(harness, "MAX_ATTEMPTS_PER_BLOB", 5)
-    with pytest.raises(ValueError, match="after 60 attempts"):
-        synth_scene(12, 20, 20, blob_sigma=2.0, min_sep=30.0, seed=0)
+    with pytest.raises(ValueError, match="after 10 attempts"):
+        synth_scene(2, 20, 20, blob_sigma=2.0, min_sep=30.0, seed=0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_box
+from conftest import box_rows, make_box
 from ircount import postprocess
 from ircount.corpus import BoundingBox, CountLabel, Dataset, ImageRecord
 from ircount.postprocess import (
@@ -69,36 +69,49 @@ def test_iou_symmetric_and_bounded(a, b):
 
 
 def test_confidence_filter_keeps_all_at_zero():
-    boxes = [make_box(score=0.1), make_box(score=0.9)]
-    assert confidence_filter(boxes, 0.0) == boxes
+    rows = box_rows([make_box(score=0.1), make_box(score=0.9)])
+    assert confidence_filter(rows, 0.0).tolist() == rows.tolist()
 
 
 def test_confidence_filter_threshold_is_inclusive():
-    boxes = [make_box(score=0.3), make_box(score=0.6), make_box(score=0.5)]
-    kept = confidence_filter(boxes, 0.5)
-    assert [b.score for b in kept] == [0.6, 0.5]
+    rows = box_rows([make_box(score=0.3), make_box(score=0.6), make_box(score=0.5)])
+    kept = confidence_filter(rows, 0.5)
+    assert kept[:, 4].tolist() == [0.6, 0.5]
 
 
 def test_confidence_filter_rejects_out_of_range():
     with pytest.raises(ValueError):
-        confidence_filter([], 1.5)
+        confidence_filter(np.empty((0, 5)), 1.5)
 
 
 @given(st.lists(boxes_strategy, max_size=12), st.floats(0, 1), st.floats(0, 1))
 def test_confidence_filter_monotone(boxes, c1, c2):
     low, high = min(c1, c2), max(c1, c2)
-    assert set(map(id, confidence_filter(boxes, high))) <= set(map(id, confidence_filter(boxes, low)))
+    rows = box_rows(boxes)
+    assert confidence_filter(confidence_filter(rows, low), high).tolist() == confidence_filter(rows, high).tolist()
+
+
+@pytest.mark.parametrize(
+    "boxes",
+    [np.full((5, 3), 0.5), np.full((3, 5, 1), 0.5), np.full(5, 0.5), [], [make_box()]],
+    ids=["5x3", "3x5x1", "flat", "empty-list", "items"],
+)
+def test_nms_and_confidence_filter_take_only_box_rows(boxes):
+    with pytest.raises(ValueError, match=r"\(k, 5\) rows"):
+        nms(boxes, 0.5)
+    with pytest.raises(ValueError, match=r"\(k, 5\) rows"):
+        confidence_filter(boxes, 0.5)
 
 
 def test_nms_identical_boxes_keep_highest_score():
     a = make_box(0.5, 0.5, 0.2, 0.2, score=0.9)
     b = make_box(0.5, 0.5, 0.2, 0.2, score=0.8)
-    assert nms([b, a], 0.5) == [a]
+    assert nms(box_rows([b, a]), 0.5).tolist() == box_rows([a]).tolist()
 
 
 def test_nms_disjoint_keeps_all():
-    boxes = [make_box(0.2, 0.2, 0.1, 0.1, 0.3), make_box(0.8, 0.8, 0.1, 0.1, 0.9)]
-    assert nms(boxes, 0.1) == boxes
+    rows = box_rows([make_box(0.2, 0.2, 0.1, 0.1, 0.3), make_box(0.8, 0.8, 0.1, 0.1, 0.9)])
+    assert nms(rows, 0.1).tolist() == rows.tolist()
 
 
 def test_nms_matches_naive_reference_on_randoms():
@@ -106,17 +119,17 @@ def test_nms_matches_naive_reference_on_randoms():
     for _ in range(300):
         boxes = random_boxes(rng, rng.randint(0, 10))
         thresh = rng.random()
-        got = nms(boxes, thresh)
-        expected = [boxes[i] for i in naive_nms(boxes, thresh)]
-        assert got == expected
+        rows = box_rows(boxes)
+        assert nms(rows, thresh).tolist() == rows[naive_nms(boxes, thresh)].tolist()
 
 
 @given(st.lists(boxes_strategy, max_size=10), st.floats(0, 1))
 @settings(max_examples=60)
 def test_nms_subset_and_fixed_point(boxes, thresh):
-    kept = nms(boxes, thresh)
-    assert all(b in boxes for b in kept)
-    assert nms(kept, thresh) == kept
+    rows = box_rows(boxes)
+    kept = nms(rows, thresh)
+    assert all(row in rows.tolist() for row in kept.tolist())
+    assert nms(kept, thresh).tolist() == kept.tolist()
 
 
 # Dyadic lattice coordinates make exact ties: edge-touching boxes (iw == 0),
@@ -145,9 +158,9 @@ def mixed_boxes(rng, n):
 
 
 def assert_nms_matches_naive(boxes, thresh):
-    """Same boxes, by identity, so value-equal duplicates are told apart."""
-    got = nms(boxes, thresh)
-    assert [id(b) for b in got] == [id(boxes[i]) for i in naive_nms(boxes, thresh)]
+    """The rows of the boxes that the oracle keeps, in their order."""
+    rows = box_rows(boxes)
+    assert nms(rows, thresh).tolist() == rows[naive_nms(boxes, thresh)].tolist()
 
 
 @given(
@@ -173,14 +186,14 @@ def test_nms_edge_touching_boxes_do_not_overlap():
     left = BoundingBox(0.25, 0.5, 0.25, 0.25, 0.9)
     right = BoundingBox(0.5, 0.5, 0.25, 0.25, 0.8)
     assert left.cx + left.w / 2 == right.cx - right.w / 2
-    assert nms([left, right], 0.0) == [left, right]
+    rows = box_rows([left, right])
+    assert nms(rows, 0.0).tolist() == rows.tolist()
 
 
 def test_nms_threshold_one_keeps_duplicates():
-    a = make_box(0.5, 0.5, 0.2, 0.2, score=0.5)
-    b = make_box(0.5, 0.5, 0.2, 0.2, score=0.5)
-    assert [id(x) for x in nms([a, b], 1.0)] == [id(a), id(b)]
-    assert [id(x) for x in nms([a, b], 0.999)] == [id(a)]
+    rows = box_rows([make_box(0.5, 0.5, 0.2, 0.2, score=0.5)] * 2)
+    assert nms(rows, 1.0).tolist() == rows.tolist()
+    assert nms(rows, 0.999).tolist() == rows[:1].tolist()
 
 
 def test_threshold_curve_invariants():
@@ -207,11 +220,11 @@ def test_nms_on_rows_keeps_the_rows_of_the_kept_boxes():
     rng = random.Random(5)
     for n in (0, 1, 7, 40):
         boxes = random_boxes(rng, n)
-        rows = np.array([(b.cx, b.cy, b.w, b.h, b.score) for b in boxes]).reshape(-1, 5)
+        rows = box_rows(boxes)
         for thresh in (0.0, 0.3, 0.7, 1.0):
             kept = nms(rows, thresh)
             assert isinstance(kept, np.ndarray) and kept.shape[1:] == (5,)
-            assert kept.tolist() == [[b.cx, b.cy, b.w, b.h, b.score] for b in nms(boxes, thresh)]
+            assert kept.tolist() == rows[naive_nms(boxes, thresh)].tolist()
 
 
 def test_default_grid_resolution():
