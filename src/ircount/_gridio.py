@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import InitVar, dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -65,34 +66,62 @@ def checked_grid(
 
 
 def read_grid(path: str | Path, tag: str) -> tuple[int, int, np.ndarray]:
-    """Read a grid file, returning (width, height, values) with values shaped (height, width)."""
+    """Read a grid file, returning (width, height, values) with values shaped (height, width).
+
+    The file is read a line at a time. A file that is not ASCII throughout
+    is reported as unreadable before any fault in its layout.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="ascii")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise GridFormatError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != f"{tag} v1":
-        raise GridFormatError(f"{path}: expected header '{tag} v1'")
-    if len(lines) < 2:
-        raise GridFormatError(f"{path}: missing dimensions line")
-    dims = lines[1].split()
+        with path.open(encoding="ascii") as f:
+            return _read_open_grid(path, tag, f)
+    except UnicodeDecodeError as exc:
+        error: Exception = exc
+        try:  # a stream counts byte positions from its chunk, one decode from the file's start
+            path.read_bytes().decode("ascii")
+        except (OSError, UnicodeDecodeError) as whole:
+            error = whole
+    except OSError as exc:
+        error = exc
+    raise GridFormatError(f"cannot read {path}: {error}") from error
+
+
+def _read_open_grid(path: Path, tag: str, f: TextIO) -> tuple[int, int, np.ndarray]:
+    def fail(message: str) -> GridFormatError:
+        for _ in f:  # a decode error anywhere in the file outranks a layout fault
+            pass
+        return GridFormatError(f"{path}: {message}")
+
+    head: list[str] = []  # the first lines, split as str.splitlines() splits the whole text
+    for line in f:
+        head += line.splitlines()
+        if len(head) >= 2:
+            break
+    if not head or head[0].strip() != f"{tag} v1":
+        raise fail(f"expected header '{tag} v1'")
+    if len(head) < 2:
+        raise fail("missing dimensions line")
+    dims = head[1].split()
     if len(dims) != 2:
-        raise GridFormatError(f"{path}: dimensions line must be '<width> <height>'")
+        raise fail("dimensions line must be '<width> <height>'")
     try:
         width, height = int(dims[0]), int(dims[1])
     except ValueError as exc:
-        raise GridFormatError(f"{path}: non-integer dimensions {lines[1]!r}") from exc
+        raise fail(f"non-integer dimensions {head[1]!r}") from exc
     if width < 1 or height < 1:
-        raise GridFormatError(f"{path}: dimensions must be positive, got {width} x {height}")
-    # One line's tokens at a time, so neither a joined copy of the text nor a token list is
-    # held; with no count, the array grows with the values present, not the dimensions line.
-    tokens = itertools.chain.from_iterable(map(str.split, lines[2:]))
+        raise fail(f"dimensions must be positive, got {width} x {height}")
+    # One line's tokens at a time, so neither the text nor a token list is held;
+    # with no count, the array grows with the values present, not the dimensions line.
+    tokens = itertools.chain.from_iterable(map(str.split, itertools.chain(head[2:], f)))
     try:
         values = np.fromiter(map(float, tokens), dtype=np.float64)
+    except UnicodeDecodeError:
+        raise
     except ValueError as exc:
-        # Only a bad file pays for counting, and a wrong count outranks a bad token.
-        found = sum(len(line.split()) for line in lines[2:])
+        # Only a bad file pays for counting, in a second read, and a wrong count
+        # outranks a bad token. Line breaks are whitespace to str.split.
+        with path.open(encoding="ascii") as again:
+            found = sum(len(line.split()) for line in again) - len(head[0].split()) - len(dims)
         if found == width * height:
             raise GridFormatError(f"{path}: non-numeric grid value: {exc}") from exc
     else:
@@ -102,13 +131,24 @@ def read_grid(path: str | Path, tag: str) -> tuple[int, int, np.ndarray]:
     return width, height, values.reshape(height, width)
 
 
+_WRITE_BLOCK_CELLS = 1 << 14  # cells formatted together; a block's temporaries stay small
+
+
 def write_grid(path: str | Path, tag: str, values: np.ndarray) -> None:
     """Write a (height, width) array as a grid file atomically (temp file + rename).
 
-    Floats are rendered with repr so a read-back is bit-exact.
+    Floats are rendered with repr so a read-back is bit-exact. Each block
+    of rows renders each distinct 64-bit pattern once: real maps and
+    frames repeat few values many times.
     """
     values = np.asarray(values, dtype=np.float64)
     height, width = values.shape
     rows = [f"{tag} v1", f"{width} {height}"]
-    rows.extend(" ".join(map(repr, row.tolist())) for row in values)
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    step = max(1, _WRITE_BLOCK_CELLS // max(width, 1))
+    for start in range(0, height, step):
+        block = values[start : start + step]
+        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+        words = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        rows.extend(map(" ".join, words[inverse.reshape(block.shape)].tolist()))
+    rows.append("")  # the final newline
+    write_text_atomic(path, "\n".join(rows))

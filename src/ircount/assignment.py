@@ -252,28 +252,29 @@ def distance_matrices(
     ``match_points`` on its image alone raises: predictions are checked
     before ground truth, and the first bad image in order is named.
     """
-    batch: list = []
+    xy: list[np.ndarray] = []  # the batch's (x, y) columns, pred and gt alternating
     cells = 0
     for gt, pred in zip(gt_sets, pred_sets):
-        if batch and cells + len(gt) * len(pred) > _BATCH_CELLS:
-            yield from _batch_distances(batch)
-            batch, cells = [], 0
-        batch += (pred, gt)
-        cells += len(gt) * len(pred)
-    if batch:
-        yield from _batch_distances(batch)
+        image: list[np.ndarray] = []
+        try:
+            for points in (pred, gt):
+                image.append(_xy(points))
+        except ValueError:
+            for rows in xy + image:  # a bad point in an earlier set is reported first
+                _check_unit(rows)
+            raise
+        size = len(image[0]) * len(image[1])
+        if xy and cells + size > _BATCH_CELLS:
+            yield from _batch_distances(xy)
+            xy, cells = [], 0
+        xy += image
+        cells += size
+    if xy:
+        yield from _batch_distances(xy)
 
 
-def _batch_distances(batch: list) -> Iterator[np.ndarray]:
-    """Distance matrices of ``batch``, which alternates pred and gt sets."""
-    xy: list[np.ndarray] = []
-    try:
-        for points in batch:
-            xy.append(_xy(points))
-    except ValueError:
-        for rows in xy:  # a bad point in an earlier set is reported first
-            _check_unit(rows)
-        raise
+def _batch_distances(xy: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """Distance matrices of a batch of (x, y) columns, pred and gt alternating."""
     p, g = np.concatenate(xy[0::2]), np.concatenate(xy[1::2])
     if not (_in_unit(p) and _in_unit(g)):
         for rows in xy:
@@ -322,13 +323,17 @@ def match_points(
     exactly |n - m| padding entries, so the padding value never changes
     which pairs win. Assignments to padding become unmatched counts.
     """
-    n, m = len(gt), len(pred)
     if distances is None:
         dist = next(distance_matrices([gt], [pred]))
-    elif np.shape(distances) == (n, m):
-        dist = distances
+        n, m = dist.shape
     else:
-        raise ValueError(f"distances must have shape {(n, m)}, got {np.shape(distances)}")
+        try:
+            n, m = len(gt), len(pred)
+        except TypeError:  # a 0-d array or a scalar has no length: _xy words its shape error
+            n, m = len(_xy(gt)), len(_xy(pred))
+        if np.shape(distances) != (n, m):
+            raise ValueError(f"distances must have shape {(n, m)}, got {np.shape(distances)}")
+        dist = distances
     size = max(n, m)
     if size == 0:
         return MatchResult((), 0, 0)

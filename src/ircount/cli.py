@@ -10,6 +10,7 @@ every randomized subcommand; an explicit --seed wins over both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -17,7 +18,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -133,6 +134,15 @@ def _emit_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@contextlib.contextmanager
+def _naming(*paths: str) -> Iterator[None]:
+    """Prefix a ValueError raised inside with the input files it concerns."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{', '.join(paths)}: {exc}") from None
+
+
 def _load_json(path: str) -> object:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -191,7 +201,8 @@ def _parse_fractions(text: str) -> list[float]:
 def _cmd_eval_count(args: argparse.Namespace) -> None:
     gt = corpus.load_manifest(args.gt, args.max_count)
     pred = corpus.load_manifest(args.pred, args.max_count)
-    pairs = postprocess.count_pairs_from_datasets(gt, pred)
+    with _naming(args.gt, args.pred):
+        pairs = postprocess.count_pairs_from_datasets(gt, pred)
     report = metrics.count_metrics(pairs, per_class=args.per_class)
     if args.format == "json":
         _emit(metrics.report_to_dict(report, args.label), args.out)
@@ -205,7 +216,8 @@ def _cmd_eval_count(args: argparse.Namespace) -> None:
 def _cmd_eval_locate(args: argparse.Namespace) -> None:
     gt = corpus.load_manifest(args.gt, args.max_count)
     pred = corpus.load_manifest(args.pred, args.max_count)
-    pairs = corpus.aligned_records(gt, pred)
+    with _naming(args.gt, args.pred):
+        pairs = corpus.aligned_records(gt, pred)
     gt_sets = [_points_of(g) for g, _ in pairs]
     pred_sets = [_points_of(p) for _, p in pairs]
     cfg = metrics.MaedConfig(args.penalty, not args.no_squared, args.denominator)
@@ -223,10 +235,13 @@ def _cmd_eval_locate(args: argparse.Namespace) -> None:
 
 
 def _cmd_tune_threshold(args: argparse.Namespace) -> None:
+    if not 0.0 <= args.nms <= 1.0:  # checked before the files are named below
+        raise ValueError(f"--nms must be in [0, 1], got {args.nms}")
     gt = corpus.load_manifest(args.gt, args.max_count)
     pred = corpus.load_manifest(args.pred, args.max_count)
     grid = postprocess.default_grid(args.grid_step)
-    curve = postprocess.tune_threshold(pred, gt, grid, args.nms)
+    with _naming(args.gt, args.pred):
+        curve = postprocess.tune_threshold(pred, gt, grid, args.nms)
     best = {"best_threshold": curve.best_threshold, "best_accuracy": curve.best_accuracy}
     _emit({"thresholds": list(curve.thresholds), "accuracies": list(curve.accuracies), **best}, args.out)
     if args.svg:

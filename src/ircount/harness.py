@@ -234,19 +234,29 @@ def render_blobs(
     """Render isotropic Gaussian blobs, composited by elementwise max.
 
     Max composition keeps every blob peak exactly at the top of
-    ``CAM_RANGE`` and the map within that range.
+    ``CAM_RANGE`` and the map within that range. Each blob is computed
+    only within ``ceil(sigma * sqrt(1500))`` pixels of its center: past
+    that its exponent exceeds 750, where ``exp`` is exactly 0.0.
     """
     if isinstance(sigmas, (int, float)):
         sigmas = [float(sigmas)] * len(centers_px)
     if len(sigmas) != len(centers_px):
         raise ValueError("one sigma per center required")
     grid = np.zeros((height, width), dtype=np.float64)
-    ys, xs = np.mgrid[0:height, 0:width]
     for (cx, cy), sigma in zip(centers_px, sigmas):
         if not 0.0 < sigma < math.inf:
             raise ValueError(f"blob sigma must be positive and finite, got {sigma}")
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise ValueError(f"blob center must be finite, got {(cx, cy)}")
+        reach = math.ceil(sigma * math.sqrt(1500.0))
+        x0, x1 = max(math.floor(cx) - reach, 0), min(math.ceil(cx) + reach + 1, width)
+        y0, y1 = max(math.floor(cy) - reach, 0), min(math.ceil(cy) + reach + 1, height)
+        if x0 >= x1 or y0 >= y1:
+            continue
+        xs, ys = np.arange(x0, x1), np.arange(y0, y1)[:, np.newaxis]
         blob = CAM_RANGE[1] * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
-        np.maximum(grid, blob, out=grid)
+        window = grid[y0:y1, x0:x1]
+        np.maximum(window, blob, out=window)
     return Grid(width, height, grid, CAM_RANGE)
 
 

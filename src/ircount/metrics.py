@@ -134,7 +134,7 @@ def maed(
         raise ValueError("maed requires at least one image")
     total = 0.0
     for gt, pred, dist in zip(gt_sets, pred_sets, distance_matrices(gt_sets, pred_sets)):
-        n, m = len(gt), len(pred)
+        n, m = dist.shape
         if n == 0 and m == 0:
             continue
         result = match_points(gt, pred, distances=dist)

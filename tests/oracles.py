@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ircount._gridio import GridFormatError
 from ircount.assignment import MatchResult
-from ircount.camloc import Component
+from ircount.camloc import CAM_RANGE, Component
 from ircount.corpus import (
     BoundingBox,
     CountLabel,
@@ -327,3 +328,56 @@ def per_entry_load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
         return Dataset(doc.get("name"), tuple(records))
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
+
+
+def repr_grid_text(tag, values):
+    """The text of a grid file, rendered cell by cell with one ``repr`` each."""
+    values = np.asarray(values, dtype=np.float64)
+    height, width = values.shape
+    lines = [f"{tag} v1", f"{width} {height}"]
+    lines += [" ".join(repr(float(v)) for v in row) for row in values]
+    return "\n".join(lines) + "\n"
+
+
+def whole_text_read_grid(path, tag):
+    """The grid reader that holds the whole text and its line list at once."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="ascii")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GridFormatError(f"cannot read {path}: {exc}") from exc
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != f"{tag} v1":
+        raise GridFormatError(f"{path}: expected header '{tag} v1'")
+    if len(lines) < 2:
+        raise GridFormatError(f"{path}: missing dimensions line")
+    dims = lines[1].split()
+    if len(dims) != 2:
+        raise GridFormatError(f"{path}: dimensions line must be '<width> <height>'")
+    try:
+        width, height = int(dims[0]), int(dims[1])
+    except ValueError as exc:
+        raise GridFormatError(f"{path}: non-integer dimensions {lines[1]!r}") from exc
+    if width < 1 or height < 1:
+        raise GridFormatError(f"{path}: dimensions must be positive, got {width} x {height}")
+    tokens = [token for line in lines[2:] for token in line.split()]
+    if len(tokens) != width * height:
+        raise GridFormatError(f"{path}: expected {width * height} values, found {len(tokens)}")
+    try:
+        values = np.array([float(token) for token in tokens], dtype=np.float64)
+    except ValueError as exc:
+        raise GridFormatError(f"{path}: non-numeric grid value: {exc}") from exc
+    return width, height, values.reshape(height, width)
+
+
+def full_frame_blobs(width, height, centers_px, sigmas):
+    """Gaussian blobs evaluated on every pixel of the frame and composited
+    by elementwise max, as (height, width) float64 values."""
+    if isinstance(sigmas, (int, float)):
+        sigmas = [float(sigmas)] * len(centers_px)
+    grid = np.zeros((height, width), dtype=np.float64)
+    ys, xs = np.mgrid[0:height, 0:width]
+    for (cx, cy), sigma in zip(centers_px, sigmas):
+        blob = CAM_RANGE[1] * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
+        np.maximum(grid, blob, out=grid)
+    return grid

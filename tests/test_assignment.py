@@ -379,12 +379,23 @@ def test_distance_matrices_equal_one_image_at_a_time_across_batches():
         (np.zeros((2, 2, 2)), r"\(2, 2, 2\)"),
         (np.zeros(4), r"\(4,\)"),
         ([(0.1,), (0.2,)], r"\(2, 1\)"),
+        (np.array(0.5), r"\(\)"),
+        (np.float64(0.25), r"\(\)"),
+        (0.5, r"\(\)"),
     ],
 )
 def test_match_points_names_the_shape_of_a_bad_point_set(points, shape):
     for gt, pred in ((points, [(0.1, 0.1)]), ([(0.1, 0.1)], points)):
-        with pytest.raises(ValueError, match=rf"\(k, >= 2\) array .* got shape {shape}$"):
-            match_points(gt, pred)
+        for call in (lambda: match_points(gt, pred), lambda: maed([gt], [pred])):
+            with pytest.raises(ValueError, match=rf"\(k, >= 2\) array .* got shape {shape}$"):
+                call()
+
+
+@pytest.mark.parametrize("points", [np.array(0.5), 0.5])
+def test_match_points_with_distances_gives_a_set_with_no_length_the_shape_error(points):
+    for gt, pred in ((points, [(0.1, 0.1)]), ([(0.1, 0.1)], points)):
+        with pytest.raises(ValueError, match=r"got shape \(\)$"):
+            match_points(gt, pred, distances=np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("points", [[(0.1, 0.2), (0.3,)], ["ab"], [(0.1, "x")], [object()]])

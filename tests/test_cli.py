@@ -670,9 +670,20 @@ def test_write_text_atomic_keeps_a_temp_name_it_did_not_create(tmp_path, monkeyp
          "fractions must be start:stop:step or a comma list, got 'a:b:c'"),
         (["locate-cam", "--map", "{no_dims}", "--count", "1"], None, "{no_dims}: missing dimensions line"),
         (["locate-cam", "--map", "{bad_dims}", "--count", "1"], None, "{bad_dims}: non-integer dimensions '4 x'"),
+        (["eval-count", "--gt", "{a}", "--pred", "{b}"], None,
+         "{a}, {b}: manifests do not align by record id (first differences: ['a', 'b'])"),
+        (["eval-locate", "--gt", "{a}", "--pred", "{b}"], None,
+         "{a}, {b}: manifests do not align by record id (first differences: ['a', 'b'])"),
+        (["tune-threshold", "--gt", "{a}", "--pred", "{b}", "--out", "{out}"], None,
+         "{a}, {b}: manifests do not align by record id (first differences: ['a', 'b'])"),
+        (["tune-threshold", "--gt", "{a}", "--pred", "{a_pred}", "--out", "{out}"], None,
+         "{a}, {a_pred}: prediction record 'a' carries no boxes tier"),
+        (["tune-threshold", "--gt", "{a}", "--pred", "{a_pred}", "--nms", "2", "--out", "{out}"], None,
+         "--nms must be in [0, 1], got 2.0"),
     ],
     ids=["threshold-nan", "threshold-nan-count-0", "synth-too-many", "seed-env", "count-only-locate", "dims",
-         "fractions", "no-dims-line", "bad-dims"],
+         "fractions", "no-dims-line", "bad-dims", "count-ids-differ", "locate-ids-differ", "tune-ids-differ",
+         "tune-pred-without-boxes", "tune-nms-out-of-range"],
 )
 def test_cli_error_exits_1_with_its_message(tmp_path, capsys, monkeypatch, argv, seed_env, message):
     paths = {
@@ -682,6 +693,9 @@ def test_cli_error_exits_1_with_its_message(tmp_path, capsys, monkeypatch, argv,
         "bad_dims": tmp_path / "bad_dims.cam",
         "out": tmp_path / "out",
     }
+    for name, rec_id in (("a", "a"), ("b", "b"), ("a_pred", "a")):
+        paths[name] = tmp_path / f"{name}.json"
+        save_manifest(Dataset(name, (ImageRecord(rec_id, 64, 64, count=CountLabel(1)),)), paths[name])
     camloc.write_activation_map(Grid(4, 4, np.zeros(16), camloc.CAM_RANGE), paths["ok"])
     paths["no_dims"].write_text("CAM v1\n")
     paths["bad_dims"].write_text("CAM v1\n4 x\n")

@@ -27,6 +27,7 @@ from ircount.harness import (
 )
 from ircount.metrics import maed
 from ircount.postprocess import ThresholdCurve
+from oracles import full_frame_blobs
 
 
 def test_ablate_full_fraction_is_whole_dataset(small_dataset):
@@ -285,6 +286,25 @@ def test_render_blobs_values_bounded():
 def test_render_blobs_rejects_non_finite_or_non_positive_sigma(sigma):
     with pytest.raises(ValueError, match="positive and finite"):
         render_blobs(16, 16, [(8, 8)], sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0, 7.5, 40.0, 200.0])
+def test_render_blobs_equals_the_full_frame_formula(sigma):
+    # Centers on the border, one pixel inside, just past it and far past it.
+    centers = [(0, 0), (63, 47), (1, 46), (62, 1), (32, 24), (-1, 10), (64, 20), (10, 48), (-40, -40), (300, 20),
+               (20, -5000)]
+    want = full_frame_blobs(64, 48, centers, sigma)
+    got = render_blobs(64, 48, centers, sigma).values
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    sigmas = [0.3 + 13.0 * k for k in range(len(centers))]
+    assert (render_blobs(64, 48, centers, sigmas).values.view(np.uint64).tolist()
+            == full_frame_blobs(64, 48, centers, sigmas).view(np.uint64).tolist())
+
+
+@pytest.mark.parametrize("center", [(float("inf"), 8), (8, float("nan"))])
+def test_render_blobs_rejects_a_non_finite_center(center):
+    with pytest.raises(ValueError, match="blob center must be finite"):
+        render_blobs(16, 16, [center], 2.0)
 
 
 def test_end_to_end_synth_locate_maed_loop():

@@ -1,7 +1,10 @@
 """Winsorization, unit scaling, and the FRAME container."""
 
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ircount import Grid
-from ircount._gridio import GridFormatError
+from ircount import Grid, _gridio
+from ircount._gridio import GridFormatError, read_grid, write_grid
 from ircount.preprocess import (
     normalize_unit,
     percentile,
@@ -19,6 +22,7 @@ from ircount.preprocess import (
     winsorize_bounds,
     write_frame,
 )
+from oracles import repr_grid_text, whole_text_read_grid
 
 
 def sorted_interp_percentile(values, q):
@@ -255,3 +259,92 @@ def test_frame_file_value_errors_name_the_file(tmp_path, payload):
     with pytest.raises(GridFormatError) as err:
         read_frame(path)
     assert str(path) in str(err.value)
+
+
+# Values where shortest repr is delicate: signed zeros, subnormals, the
+# extremes of the finite range and decimals with no exact binary form.
+edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, -1e300, 0.1, 255.0]
+)
+
+
+@st.composite
+def repetitive_grids(draw):
+    """A (height, width) grid drawn from a small pool of values, so values
+    repeat within and across blocks; as float64, integer or transposed."""
+    pool = [0.0, -0.0] + draw(st.lists(edge_floats | st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    picks = draw(arrays(np.intp, (width, height), elements=st.integers(0, len(pool) - 1)))
+    values = np.array(pool)[picks].T  # transposed: not C-contiguous
+    form = draw(st.sampled_from(["float", "contiguous", "int"]))
+    if form == "contiguous":
+        values = np.ascontiguousarray(values)
+    elif form == "int":
+        values = picks.T * draw(st.sampled_from([1, -7, 2**40]))
+    return values
+
+
+@given(repetitive_grids(), st.sampled_from([1, 3, 16, 64, _gridio._WRITE_BLOCK_CELLS]))
+@settings(max_examples=150, deadline=None)
+def test_write_grid_equals_a_per_value_repr_writer(values, block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(_gridio, "_WRITE_BLOCK_CELLS", block):
+        path = Path(tmp) / "g.frame"
+        write_grid(path, "FRAME", values)
+        assert path.read_bytes() == repr_grid_text("FRAME", values).encode("ascii")
+        width, height, back = read_grid(path, "FRAME")
+    assert (height, width) == values.shape
+    assert back.view(np.uint64).tolist() == np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_write_grid_rows_wider_than_a_block_equal_the_per_value_writer(tmp_path):
+    rng = np.random.default_rng(17)
+    width = _gridio._WRITE_BLOCK_CELLS + 5
+    values = rng.choice([0.0, -0.0, 5e-324, 0.1, 1e308, rng.normal()], size=(3, width))
+    values[1] = rng.normal(size=width)  # one row of all-distinct values
+    write_grid(tmp_path / "wide.cam", "CAM", values)
+    assert (tmp_path / "wide.cam").read_bytes() == repr_grid_text("CAM", values).encode("ascii")
+
+
+grid_separators = st.sampled_from([" ", " ", "\n", "\r\n", "\r", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "  \n "])
+
+
+@st.composite
+def grid_payloads(draw):
+    """Grid file bytes near the FRAME layout: header, dimensions and value
+    tokens joined by any ASCII whitespace or line break, sometimes padded
+    past the reader's decode chunk and sometimes holding a non-ASCII byte."""
+    width, height = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+    parts = [
+        draw(st.sampled_from(["FRAME v1", " FRAME v1 ", "CAM v1", "FRAME", ""])),
+        draw(st.sampled_from([f"{width} {height}", f"{width}", f"{width} x", ""])),
+    ]
+    size = max(width, 0) * max(height, 0) + draw(st.sampled_from([0, 0, -1, 1]))
+    parts += draw(st.lists(st.sampled_from(["1", "-0.5", "2e3", "x", "nan", "1e999"]), min_size=max(size, 0),
+                           max_size=max(size, 0)))
+    text = parts[0]
+    for part in parts[1:]:
+        text += draw(grid_separators) + part
+    text += draw(st.sampled_from(["", "\n", " " * 9000 + "\n"]))
+    payload = text.encode("ascii")
+    if draw(st.booleans()):
+        at = int(draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])) * len(payload))
+        payload = payload[:at] + b"\xff" + payload[at:]
+    return payload
+
+
+@given(grid_payloads())
+@settings(max_examples=300, deadline=None)
+def test_read_grid_streams_to_what_a_whole_text_reader_gives(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.frame"
+        path.write_bytes(payload)
+        try:
+            want = whole_text_read_grid(path, "FRAME")
+        except GridFormatError as exc:
+            with pytest.raises(GridFormatError) as err:
+                read_grid(path, "FRAME")
+            assert str(err.value) == str(exc)
+            return
+        width, height, values = read_grid(path, "FRAME")
+    assert (width, height) == want[:2]
+    assert values.view(np.uint64).tolist() == want[2].view(np.uint64).tolist()
