@@ -335,8 +335,6 @@ def match_points(
             raise ValueError(f"distances must have shape {(n, m)}, got {np.shape(distances)}")
         dist = distances
     size = max(n, m)
-    if size == 0:
-        return MatchResult((), 0, 0)
     grid = np.full((size, size), dist.max(initial=0.0))
     grid[:n, :m] = dist
     assignment = hungarian(CostMatrix(size, size, grid))

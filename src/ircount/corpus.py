@@ -108,33 +108,27 @@ def _rows_ok(rows: np.ndarray, cls: type[BoundingBox | PointAnnotation]) -> bool
 
 
 def _tier(rec_id: object, name: str, value: object, cls: type[BoundingBox | PointAnnotation]) -> np.ndarray | None:
-    """A tier given to ``ImageRecord`` as read-only ``(k, n)`` float64 rows:
-    from an array of rows, checked in bulk, or from a sequence of ``cls``
-    items, each checked on its own."""
+    """A tier given to ``ImageRecord`` as read-only ``(k, n)`` float64 rows,
+    from an array of rows or a sequence of ``cls`` items. Both are checked
+    in bulk, and a bad row raises its item's own message."""
     if value is None:
         return None
-    n = len(cls.__match_args__)
+    fields = cls.__match_args__
+    rows = None
     if isinstance(value, np.ndarray):
-        rows = _rows_of(value, n)
-        if rows is None:
-            raise ValueError(
-                f"record {rec_id!r}: {name} array must be (k, {n}) numbers, "
-                f"got shape {value.shape} of {value.dtype}"
-            )
-        if not _rows_ok(rows, cls):
-            for row in rows.tolist():
-                cls(*row)  # raises the first bad row's own message
-    else:
-        try:
-            items = tuple(value)
-        except TypeError:
-            raise ValueError(
-                f"record {rec_id!r}: {name} must be {cls.__name__} instances or an array, got {value!r}"
-            ) from None
-        if operator.countOf(map(type, items), cls) != len(items):
-            raise ValueError(f"record {rec_id!r}: {name} must all be {cls.__name__} instances")
-        rows = np.array(list(map(operator.attrgetter(*cls.__match_args__), items)), dtype=np.float64)
-        rows = rows.reshape(-1, n)
+        rows = _rows_of(value, len(fields))
+    elif hasattr(value, "__iter__"):
+        items = tuple(value)
+        if operator.countOf(map(type, items), cls) == len(items):
+            rows = _rows_of(list(map(operator.attrgetter(*fields), items)), len(fields))
+    if rows is None:
+        raise ValueError(
+            f"record {rec_id!r}: {name} must be {cls.__name__} items or a (k, {len(fields)}) array of numbers, "
+            f"got {value!r}"
+        )
+    if not _rows_ok(rows, cls):
+        for row in rows.tolist():
+            cls(*row)  # raises the first bad row's own message
     rows.flags.writeable = False
     return rows
 
@@ -271,9 +265,7 @@ def annotation_to_count(record: ImageRecord) -> CountLabel:
         return record.count
     if record.points is not None:
         return CountLabel(len(record.points))
-    if record.boxes is not None:
-        return CountLabel(len(record.boxes))
-    raise ValueError(f"record {record.id!r}: no annotation tier present")
+    return CountLabel(len(record.boxes))
 
 
 def split_dataset(ds: Dataset, train_count: int, seed: int) -> tuple[Dataset, Dataset]:

@@ -191,7 +191,6 @@ class ProcessPredictor:
         )
 
     def __call__(self, item: object) -> str:
-        assert self._proc.stdin is not None and self._proc.stdout is not None
         self._proc.stdin.write(f"{item}\n")
         self._proc.stdin.flush()
         line = self._proc.stdout.readline()
@@ -204,8 +203,7 @@ class ProcessPredictor:
         still running ``CLOSE_WAIT_S`` later is terminated, then killed if
         SIGTERM has not ended it within ``TERM_WAIT_S``, so no child
         outlives this call."""
-        if self._proc.stdin is not None:
-            self._proc.stdin.close()
+        self._proc.stdin.close()
         try:
             self._proc.wait(timeout=CLOSE_WAIT_S)
         except subprocess.TimeoutExpired:
@@ -215,8 +213,7 @@ class ProcessPredictor:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
-        if self._proc.stdout is not None:
-            self._proc.stdout.close()
+        self._proc.stdout.close()
 
     def __enter__(self) -> "ProcessPredictor":
         return self
