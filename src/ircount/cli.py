@@ -150,13 +150,13 @@ def _load_json(path: str) -> object:
         raise ValueError(f"cannot parse {path}: {exc}") from None
 
 
-def _points_of(rec: ImageRecord) -> np.ndarray:
+def _points_of(rec: ImageRecord, path: str) -> np.ndarray:
     """The record's point rows, else its box rows: (cx, cy) lead both."""
     if rec.points is not None:
         return rec.points
     if rec.boxes is not None:
         return rec.boxes
-    raise ValueError(f"record {rec.id!r} carries no localizable tier (points or boxes)")
+    raise ValueError(f"{path}: record {rec.id!r} carries no localizable tier (points or boxes)")
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -190,8 +190,11 @@ def _parse_fractions(text: str) -> list[float]:
                 break
             values.append(min(v, 1.0))
             k += 1
-        return values
-    return [float(v) for v in text.split(",") if v]
+    else:
+        values = [float(v) for v in text.split(",") if v]
+    if not values or any(not 0.0 < v <= 1.0 for v in values) or any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"fractions must be non-empty and ascend within (0, 1], got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +206,7 @@ def _cmd_eval_count(args: argparse.Namespace) -> None:
     pred = corpus.load_manifest(args.pred, args.max_count)
     with _naming(args.gt, args.pred):
         pairs = postprocess.count_pairs_from_datasets(gt, pred)
-    report = metrics.count_metrics(pairs, per_class=args.per_class)
+        report = metrics.count_metrics(pairs, per_class=args.per_class)
     if args.format == "json":
         _emit(metrics.report_to_dict(report, args.label), args.out)
         return
@@ -218,10 +221,11 @@ def _cmd_eval_locate(args: argparse.Namespace) -> None:
     pred = corpus.load_manifest(args.pred, args.max_count)
     with _naming(args.gt, args.pred):
         pairs = corpus.aligned_records(gt, pred)
-    gt_sets = [_points_of(g) for g, _ in pairs]
-    pred_sets = [_points_of(p) for _, p in pairs]
+    gt_sets = [_points_of(g, args.gt) for g, _ in pairs]
+    pred_sets = [_points_of(p, args.pred) for _, p in pairs]
     cfg = metrics.MaedConfig(args.penalty, not args.no_squared, args.denominator)
-    value = metrics.maed(gt_sets, pred_sets, cfg)
+    with _naming(args.gt, args.pred):
+        value = metrics.maed(gt_sets, pred_sets, cfg)
     _emit(
         {
             "maed": value,
@@ -295,7 +299,8 @@ def _cmd_convert(args: argparse.Namespace) -> None:
 def _cmd_split(args: argparse.Namespace) -> None:
     ds = corpus.load_manifest(args.manifest, args.max_count)
     seed = _resolve_seed(args.seed)
-    train, test = corpus.split_dataset(ds, args.train_count, seed)
+    with _naming(args.manifest):
+        train, test = corpus.split_dataset(ds, args.train_count, seed)
     corpus.save_manifest(train, args.out_train)
     corpus.save_manifest(test, args.out_test)
     _emit({"train_size": len(train), "test_size": len(test), "seed": seed}, None)
@@ -305,7 +310,8 @@ def _cmd_ablate(args: argparse.Namespace) -> None:
     ds = corpus.load_manifest(args.manifest, args.max_count)
     fractions = _parse_fractions(args.fractions)
     seed = _resolve_seed(args.seed)
-    subsets = harness.ablate_fractions(ds, fractions, seed)
+    with _naming(args.manifest):
+        subsets = harness.ablate_fractions(ds, fractions, seed)
     # The fractions ascend and {:g} rounds monotonically, so equal names are neighbours.
     clash = next(((a, b) for a, b in zip(fractions, fractions[1:]) if f"{a:g}" == f"{b:g}"), None)
     if clash:

@@ -433,3 +433,10 @@ def test_locate_cam_output_is_pinned(tmp_path, seed, count, threshold, branch, d
 @pytest.mark.parametrize("branch", ["none", "exact", "largest", "split", "empty-mask"])
 def test_locate_result_is_degenerate_only_on_the_empty_mask_branch(branch):
     assert LocateResult(np.empty((0, 3)), branch).degenerate is (branch == "empty-mask")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_inside_rejects_a_sample_size_below_one(n):
+    comp = component_from_pixels([(2, 3)], 8, 8)
+    with pytest.raises(ValueError, match=f"^sample size must be >= 1, got {n}$"):
+        sample_inside(comp, n, seed=0)

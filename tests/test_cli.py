@@ -652,6 +652,27 @@ def test_write_text_atomic_keeps_a_temp_name_it_did_not_create(tmp_path, monkeyp
     assert not (tmp_path / "out.json").exists()
 
 
+def test_write_text_atomic_reraises_other_errors_after_removing_its_temp_file(tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("old", encoding="utf-8")
+    with pytest.raises(TypeError, match="must be str, not bytes"):
+        _fsutil.write_text_atomic(target, b"new")
+    assert target.read_text(encoding="utf-8") == "old"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("argv", [["locate-cam", "--map", "{grid}", "--count", "1"], ["winsorize", "{grid}", "{out}"]],
+                         ids=["locate-cam", "winsorize"])
+def test_cli_grid_that_cannot_be_read_exits_1_naming_it(tmp_path, capsys, argv, kind):
+    grid = tmp_path / "grid"
+    if kind == "directory":
+        grid.mkdir()
+    assert run([arg.format(grid=grid, out=tmp_path / "out.frame") for arg in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {grid}: ")
+    assert not (tmp_path / "out.frame").exists()
+
+
 @pytest.mark.parametrize(
     "argv, seed_env, message",
     [
@@ -664,7 +685,7 @@ def test_write_text_atomic_keeps_a_temp_name_it_did_not_create(tmp_path, monkeyp
         (["synth", "--n", "1", "--dims", "16x16", "--out", "{out}"], "abc",
          "IRCOUNT_SEED must be an integer, got 'abc'"),
         (["eval-locate", "--gt", "{counts}", "--pred", "{counts}"], None,
-         "record 'r0' carries no localizable tier (points or boxes)"),
+         "{counts}: record 'r0' carries no localizable tier (points or boxes)"),
         (["synth", "--n", "1", "--dims", "10", "--out", "{out}"], None, "dims must look like 64x64, got '10'"),
         (["ablate", "--manifest", "{counts}", "--fractions", "a:b:c", "--out-dir", "{out}"], None,
          "fractions must be start:stop:step or a comma list, got 'a:b:c'"),
@@ -680,15 +701,24 @@ def test_write_text_atomic_keeps_a_temp_name_it_did_not_create(tmp_path, monkeyp
          "{a}, {a_pred}: prediction record 'a' carries no boxes tier"),
         (["tune-threshold", "--gt", "{a}", "--pred", "{a_pred}", "--nms", "2", "--out", "{out}"], None,
          "--nms must be in [0, 1], got 2.0"),
+        (["eval-count", "--gt", "{empty}", "--pred", "{empty}"], None,
+         "{empty}, {empty}: count_metrics requires at least one pair"),
+        (["eval-locate", "--gt", "{empty}", "--pred", "{empty}"], None,
+         "{empty}, {empty}: maed requires at least one image"),
+        (["ablate", "--manifest", "{empty}", "--out-dir", "{out}"], None, "{empty}: cannot ablate an empty dataset"),
+        (["split", "--manifest", "{counts}", "--train-count", "3", "--out-train", "{out}", "--out-test", "{out}"], None,
+         "{counts}: train_count 3 out of range [0, 2]"),
     ],
     ids=["threshold-nan", "threshold-nan-count-0", "synth-too-many", "seed-env", "count-only-locate", "dims",
          "fractions", "no-dims-line", "bad-dims", "count-ids-differ", "locate-ids-differ", "tune-ids-differ",
-         "tune-pred-without-boxes", "tune-nms-out-of-range"],
+         "tune-pred-without-boxes", "tune-nms-out-of-range", "count-empty", "locate-empty", "ablate-empty",
+         "split-too-many"],
 )
 def test_cli_error_exits_1_with_its_message(tmp_path, capsys, monkeypatch, argv, seed_env, message):
     paths = {
         "ok": tmp_path / "ok.cam",
         "counts": write_counts_manifest(tmp_path / "counts.json", "counts", [1, 2]),
+        "empty": write_counts_manifest(tmp_path / "empty.json", "empty", []),
         "no_dims": tmp_path / "no_dims.cam",
         "bad_dims": tmp_path / "bad_dims.cam",
         "out": tmp_path / "out",

@@ -680,3 +680,9 @@ def test_only_a_bad_manifest_takes_the_per_record_path(tmp_path, monkeypatch):
     (tmp_path / "bad.json").write_text(json.dumps({"name": "b", "records": [{"id": "a", "width": 8, "height": 8}]}))
     with pytest.raises(PerRecordPath):
         load_manifest(tmp_path / "bad.json")
+
+
+@pytest.mark.parametrize("values", [(True, 0.5), (0.5, False), (0.5, 0.5, True)])
+def test_point_rejects_a_bool_value(values):
+    with pytest.raises(ValueError, match="^point values must be numbers, not booleans"):
+        PointAnnotation(*values)

@@ -3,17 +3,20 @@ exit-1 message names the input file.
 
 Inputs are arbitrary bytes, arbitrary JSON values, and JSON or grid text
 shaped like the real formats so that the checks past the outer layer run.
-The two-manifest commands are fuzzed differentially: valid manifests on a
-dyadic grid, where ties are common, must give what a direct computation
-gives.
+The scoring and sampling commands are fuzzed differentially: valid inputs
+on a dyadic grid, where ties are common, must give what a direct
+computation gives, or keep the invariants that define the command.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -252,3 +255,151 @@ def test_fuzz_tune_threshold_equals_the_accuracy_at_each_threshold(case, step, n
     assert curve["accuracies"] == want
     best = want.index(max(want))
     assert (curve["best_threshold"], curve["best_accuracy"]) == (curve["thresholds"][best], want[best])
+
+
+def run_quietly(argv):
+    """Run the CLI with its output captured: (exit code, stdout, stderr)."""
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = run([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def manifest_docs(draw, min_size=0):
+    n = draw(st.integers(min_size, 12))
+    return {"name": "m", "records": [{"id": f"r{i}", "width": 64, "height": 64, **draw(tiers())} for i in range(n)]}
+
+
+def ids_in(path):
+    return [rec["id"] for rec in json.loads(Path(path).read_text())["records"]]
+
+
+@DIFF
+@given(manifest_docs(), st.data(), st.integers(0, 2**32))
+def test_fuzz_split_partitions_the_records_as_ablate_orders_them(doc, data, seed):
+    n = len(doc["records"])
+    train_count = data.draw(st.integers(0, n))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        src = tmp / "m.json"
+        src.write_text(json.dumps(doc))
+        for twin in "ab":  # the same seed twice
+            code, out, err = run_quietly(["split", "--manifest", src, "--train-count", train_count, "--seed", seed,
+                                          "--out-train", tmp / f"train-{twin}.json",
+                                          "--out-test", tmp / f"test-{twin}.json"])
+            assert code == 0, err
+            assert json.loads(out) == {"train_size": train_count, "test_size": n - train_count, "seed": seed}
+        for half in ("train", "test"):
+            assert (tmp / f"{half}-a.json").read_bytes() == (tmp / f"{half}-b.json").read_bytes()
+        train, test = ids_in(tmp / "train-a.json"), ids_in(tmp / "test-a.json")
+        assert (len(train), len(test)) == (train_count, n - train_count)
+        assert sorted(train + test) == sorted(rec["id"] for rec in doc["records"])  # disjoint, and every record
+        records = load_manifest(src).index()
+        for half in ("train", "test"):
+            assert all(rec == records[rec.id] for rec in load_manifest(tmp / f"{half}-a.json").records)
+        if train_count:
+            # ablate shuffles the records with random.Random(seed) as split shuffles their indices,
+            # and a fraction of k / n keeps round(k) = k records.
+            code, out, err = run_quietly(["ablate", "--manifest", src, "--fractions", repr(train_count / n),
+                                          "--seed", seed, "--out-dir", tmp / "ablate"])
+            assert code == 0, err
+            assert ids_in(json.loads(out)["subsets"][0]["path"]) == train
+
+
+@DIFF
+@given(manifest_docs(min_size=1), st.lists(st.integers(1, 16), min_size=1, max_size=5, unique=True),
+       st.integers(0, 2**32))
+def test_fuzz_ablate_nests_subsets_of_the_rounded_sizes(doc, sixteenths, seed):
+    fractions = [k / 16 for k in sorted(sixteenths)]
+    n = len(doc["records"])
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "m.json"
+        src.write_text(json.dumps(doc))
+        code, out, err = run_quietly(["ablate", "--manifest", src, "--fractions", ",".join(map(repr, fractions)),
+                                      "--seed", seed, "--out-dir", Path(tmp) / "ablate"])
+        assert code == 0, err
+        listing = json.loads(out)
+        assert listing["seed"] == seed and [entry["fraction"] for entry in listing["subsets"]] == fractions
+        previous = []
+        for f, entry in zip(fractions, listing["subsets"]):
+            ids = ids_in(entry["path"])
+            assert len(ids) == entry["size"] == math.floor(Fraction(f) * n + Fraction(1, 2))  # halves away from 0
+            assert ids[: len(previous)] == previous and len(set(ids)) == len(ids)
+            previous = ids
+        assert set(previous) <= {rec["id"] for rec in doc["records"]}
+
+
+def first_crossing(fractions, accuracies, target):
+    """Where the piecewise-linear curve first reaches ``target``, in exact
+    rational arithmetic: the first point at or above it, or the line into
+    that point from the one before; None if no point reaches it."""
+    reached = [i for i, a in enumerate(accuracies) if a >= target]
+    if not reached:
+        return None
+    i = reached[0]
+    if i == 0:
+        return Fraction(fractions[0])
+    f0, f1, a0, a1 = map(Fraction, (fractions[i - 1], fractions[i], accuracies[i - 1], accuracies[i]))
+    return f0 + (Fraction(target) - a0) * (f1 - f0) / (a1 - a0)
+
+
+@st.composite
+def curve_docs(draw):
+    size = draw(st.integers(1, 6))
+    fractions = sorted(draw(st.lists(st.integers(1, 16), min_size=size, max_size=size, unique=True)))
+    accuracies = draw(st.lists(unit16, min_size=size, max_size=size))
+    return {"fractions": [k / 16 for k in fractions], "accuracies": accuracies, "label": draw(st.text(max_size=3))}
+
+
+@DIFF
+@given(curve_docs(), unit16 | st.floats(0.0, 1.0))
+def test_fuzz_break_even_equals_the_first_crossing(doc, target):
+    with tempfile.TemporaryDirectory() as tmp:
+        curve, result = Path(tmp) / "curve.json", Path(tmp) / "out.json"
+        curve.write_text(json.dumps(doc))
+        code, _, err = run_quietly(["break-even", "--curve", curve, "--target", repr(target), "--out", result])
+        assert code == 0, err
+        got = json.loads(result.read_text())
+    want = first_crossing(doc["fractions"], doc["accuracies"], target)
+    assert (got["target"], got["label"]) == (target, doc["label"])
+    if want is None:
+        assert got["fraction"] is None and max(doc["accuracies"]) < target
+    else:
+        assert math.isclose(got["fraction"], want, rel_tol=1e-12)
+
+
+BAD_JSON = {"bad-json": b'{"records": [', "non-object-record": b'{"name": "m", "records": [5]}', "missing": None}
+BAD_CAM = {"non-ascii-byte": b"CAM v1\n2 1\n0.5 \xe9\n", "missing": None}
+BAD_FRAME = {"non-ascii-byte": b"FRAME v1\n2 1\n0.5 \xe9\n", "missing": None}
+# Every subcommand that reads a file: its argv, with {bad} at the file under test, and the bad inputs to give it.
+READERS = {
+    "eval-count-gt": (["eval-count", "--gt", "{bad}", "--pred", "{good}"], BAD_JSON),
+    "eval-count-pred": (["eval-count", "--gt", "{good}", "--pred", "{bad}"], BAD_JSON),
+    "eval-locate-gt": (["eval-locate", "--gt", "{bad}", "--pred", "{good}"], BAD_JSON),
+    "eval-locate-pred": (["eval-locate", "--gt", "{good}", "--pred", "{bad}"], BAD_JSON),
+    "tune-threshold-gt": (["tune-threshold", "--gt", "{bad}", "--pred", "{good}", "--out", "{out}"], BAD_JSON),
+    "tune-threshold-pred": (["tune-threshold", "--gt", "{good}", "--pred", "{bad}", "--out", "{out}"], BAD_JSON),
+    "convert": (["convert", "--in", "{bad}", "--to", "count", "--out", "{out}"], BAD_JSON),
+    "split": (["split", "--manifest", "{bad}", "--train-count", "0", "--out-train", "{out}", "--out-test", "{out}"],
+              BAD_JSON),
+    "ablate": (["ablate", "--manifest", "{bad}", "--out-dir", "{out}"], BAD_JSON),
+    "break-even": (["break-even", "--curve", "{bad}", "--target", "0.5"], BAD_JSON),
+    "report": (["report", "--in", "{bad}"], BAD_JSON),
+    "locate-cam": (["locate-cam", "--map", "{bad}", "--count", "1"], BAD_CAM),
+    "winsorize": (["winsorize", "{bad}", "{out}"], BAD_FRAME),
+}
+
+
+@pytest.mark.parametrize("reader, payload", [(r, p) for r, (_, bad) in READERS.items() for p in bad])
+def test_every_file_reader_exits_1_naming_a_bad_input(tmp_path, reader, payload):
+    argv, bad = READERS[reader]
+    paths = {"bad": tmp_path / "bad", "good": tmp_path / "good.json", "out": tmp_path / "out"}
+    paths["good"].write_text(json.dumps(
+        {"name": "g", "records": [{"id": "r0", "width": 64, "height": 64, "boxes": [[0.5, 0.5, 0.25, 0.25, 1.0]]}]}
+    ))
+    if bad[payload] is not None:
+        paths["bad"].write_bytes(bad[payload])
+    code, _, err = run_quietly([arg.format(**paths) for arg in argv])
+    assert code == 1 and err.startswith("error: ") and str(paths["bad"]) in err, (code, err)
+    assert not paths["out"].exists()

@@ -389,3 +389,36 @@ def test_synth_scene_attempt_budget_is_per_person(monkeypatch):
     monkeypatch.setattr(harness, "MAX_ATTEMPTS_PER_BLOB", 5)
     with pytest.raises(ValueError, match="after 10 attempts"):
         synth_scene(2, 20, 20, blob_sigma=2.0, min_sep=30.0, seed=0)
+
+
+def test_ablate_rejects_an_empty_dataset():
+    with pytest.raises(ValueError, match="^cannot ablate an empty dataset$"):
+        ablate_fractions(make_dataset(0), [0.5, 1.0], seed=0)
+
+
+@pytest.mark.parametrize("target", [-0.25, 1.25, float("nan")])
+def test_break_even_rejects_a_target_outside_the_unit_interval(target):
+    with pytest.raises(ValueError, match=r"^target accuracy must be in \[0, 1\]"):
+        break_even(FractionCurve((0.5, 1.0), (0.25, 0.75)), target)
+
+
+def test_bench_failure_during_warmup_reports_iteration():
+    def flaky(_):
+        if flaky.calls == 2:
+            raise RuntimeError("boom")
+        flaky.calls += 1
+
+    flaky.calls = 0
+    with pytest.raises(RuntimeError, match="^predictor failed at warmup iteration 2$") as info:
+        bench_fps(flaky, warmup=5, iters=10, inputs=[0])
+    assert str(info.value.__cause__) == "boom"
+
+
+def test_render_blobs_needs_one_sigma_per_center():
+    with pytest.raises(ValueError, match="^one sigma per center required$"):
+        render_blobs(8, 8, [(2, 2), (5, 5)], [1.0, 1.0, 1.0])
+
+
+def test_synth_scene_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="^n_people must be >= 0, got -1$"):
+        synth_scene(-1, 32, 32)

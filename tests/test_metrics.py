@@ -354,3 +354,21 @@ def test_metrics_report_rejects_values_no_count_can_give(fields):
     args = {"accuracy": 0.5, "mse": 0.5, "mae": 0.5, "n": 2, "per_class": None, **fields}
     with pytest.raises(ValueError):
         MetricsReport(**args)
+
+
+def test_per_class_accuracy_needs_a_pair():
+    with pytest.raises(ValueError, match="^per_class_accuracy requires at least one pair$"):
+        per_class_accuracy([])
+
+
+def test_tables_reject_an_unknown_format():
+    report = count_metrics(pairs_of((1, 1), (2, 3)), per_class=True)
+    for render in (lambda: render_count_table([("demo", report)], "html"),
+                   lambda: render_per_class_table(report, "html")):
+        with pytest.raises(ValueError, match="^unknown table format 'html'$"):
+            render()
+
+
+def test_per_class_table_needs_a_per_class_breakdown():
+    with pytest.raises(ValueError, match="^report has no per-class breakdown$"):
+        render_per_class_table(count_metrics(pairs_of((1, 1), (2, 3))))

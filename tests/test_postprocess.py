@@ -400,3 +400,15 @@ def test_tune_threshold_sorts_the_grid():
     gt, pred = detector_fixture()
     grid = default_grid(0.05)
     assert tune_threshold(pred, gt, grid[::-1]) == tune_threshold(pred, gt, grid)
+
+
+@pytest.mark.parametrize("iou_thresh", [-0.25, 1.25, float("nan")])
+def test_nms_rejects_an_iou_threshold_outside_the_unit_interval(iou_thresh):
+    with pytest.raises(ValueError, match=r"^IoU threshold must be in \[0, 1\]"):
+        nms(box_rows([make_box()]), iou_thresh)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.5, 1.5, float("nan")])
+def test_default_grid_rejects_a_step_outside_zero_to_one(step):
+    with pytest.raises(ValueError, match=r"^grid step must be in \(0, 1\]"):
+        default_grid(step)

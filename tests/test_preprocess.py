@@ -348,3 +348,17 @@ def test_read_grid_streams_to_what_a_whole_text_reader_gives(payload):
         width, height, values = read_grid(path, "FRAME")
     assert (width, height) == want[:2]
     assert values.view(np.uint64).tolist() == want[2].view(np.uint64).tolist()
+
+
+def test_read_grid_reports_a_non_ascii_value_past_the_first_chunk_as_the_whole_text_reader(tmp_path):
+    # The header decodes from the first 8 KB chunk; the bad byte is met among the values.
+    text = "FRAME v1\n3000 1\n" + "0.5 " * 3000 + "\n"
+    at = text.index("0.5", 9000)
+    path = tmp_path / "late.frame"
+    path.write_bytes(text[:at].encode("ascii") + b"\xe9" + text[at + 1 :].encode("ascii"))
+    with pytest.raises(GridFormatError) as want:
+        whole_text_read_grid(path, "FRAME")
+    with pytest.raises(GridFormatError) as got:
+        read_grid(path, "FRAME")
+    assert str(got.value) == str(want.value)
+    assert f"position {at}:" in str(got.value)
