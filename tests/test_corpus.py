@@ -340,6 +340,7 @@ def test_constructors_reject_or_round_trip(tmp_path_factory, name, recs):
         lambda: ImageRecord("r", True, 64, count=CountLabel(1)),
         lambda: ImageRecord("r", 2.5, 64, count=CountLabel(1)),
         lambda: ImageRecord("r", 64, 64, boxes=(BoundingBox(True, 0.5, 0.1, 0.1),)),
+        lambda: ImageRecord("r", 64, 64, points=(PointAnnotation(0.5, 0.5, True),)),
         lambda: ImageRecord("r", 64, 64, count=CountLabel(1), frame_path=3),
         lambda: Dataset("", ()),
         lambda: ImageRecord("r", 8, 8, count=3),
@@ -349,7 +350,7 @@ def test_constructors_reject_or_round_trip(tmp_path_factory, name, recs):
         lambda: ImageRecord("r", 8, 8, points=(PointAnnotation(0.5, 0.5),), count=1),
     ],
     ids=[
-        "bool-width", "float-width", "bool-box-value", "int-frame-path", "empty-dataset-name",
+        "bool-width", "float-width", "bool-box-value", "bool-point-value", "int-frame-path", "empty-dataset-name",
         "int-count", "tuple-box", "point-in-boxes", "box-in-points", "int-count-beside-points",
     ],
 )
@@ -680,9 +681,3 @@ def test_only_a_bad_manifest_takes_the_per_record_path(tmp_path, monkeypatch):
     (tmp_path / "bad.json").write_text(json.dumps({"name": "b", "records": [{"id": "a", "width": 8, "height": 8}]}))
     with pytest.raises(PerRecordPath):
         load_manifest(tmp_path / "bad.json")
-
-
-@pytest.mark.parametrize("values", [(True, 0.5), (0.5, False), (0.5, 0.5, True)])
-def test_point_rejects_a_bool_value(values):
-    with pytest.raises(ValueError, match="^point values must be numbers, not booleans"):
-        PointAnnotation(*values)

@@ -72,6 +72,8 @@ def test_ablate_rejects_bad_inputs(small_dataset):
         ablate_fractions(small_dataset, [0.0, 0.5], seed=0)
     with pytest.raises(ValueError):
         ablate_fractions(small_dataset, [], seed=0)
+    with pytest.raises(ValueError, match="^cannot ablate an empty dataset$"):
+        ablate_fractions(make_dataset(0), [0.5, 1.0], seed=0)
 
 
 def test_break_even_first_point_attains_target():
@@ -389,11 +391,6 @@ def test_synth_scene_attempt_budget_is_per_person(monkeypatch):
     monkeypatch.setattr(harness, "MAX_ATTEMPTS_PER_BLOB", 5)
     with pytest.raises(ValueError, match="after 10 attempts"):
         synth_scene(2, 20, 20, blob_sigma=2.0, min_sep=30.0, seed=0)
-
-
-def test_ablate_rejects_an_empty_dataset():
-    with pytest.raises(ValueError, match="^cannot ablate an empty dataset$"):
-        ablate_fractions(make_dataset(0), [0.5, 1.0], seed=0)
 
 
 @pytest.mark.parametrize("target", [-0.25, 1.25, float("nan")])
