@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import operator
 import random
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -124,7 +125,7 @@ def _tier(rec_id: object, name: str, value: object, cls: type[BoundingBox | Poin
     if rows is None:
         raise ValueError(
             f"record {rec_id!r}: {name} must be {cls.__name__} items or a (k, {len(fields)}) array of numbers, "
-            f"got {value!r}"
+            f"got {reprlib.repr(value)}"
         )
     if not _rows_ok(rows, cls):
         for row in rows.tolist():
