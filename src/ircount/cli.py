@@ -297,6 +297,8 @@ def _cmd_convert(args: argparse.Namespace) -> None:
 
 
 def _cmd_split(args: argparse.Namespace) -> None:
+    if args.train_count < 0:  # checked before the file is named below
+        raise ValueError(f"--train-count must be >= 0, got {args.train_count}")
     ds = corpus.load_manifest(args.manifest, args.max_count)
     seed = _resolve_seed(args.seed)
     with _naming(args.manifest):

@@ -708,11 +708,13 @@ def test_cli_grid_that_cannot_be_read_exits_1_naming_it(tmp_path, capsys, argv, 
         (["ablate", "--manifest", "{empty}", "--out-dir", "{out}"], None, "{empty}: cannot ablate an empty dataset"),
         (["split", "--manifest", "{counts}", "--train-count", "3", "--out-train", "{out}", "--out-test", "{out}"], None,
          "{counts}: train_count 3 out of range [0, 2]"),
+        (["split", "--manifest", "{counts}", "--train-count", "-1", "--out-train", "{out}", "--out-test", "{out}"], None,
+         "--train-count must be >= 0, got -1"),
     ],
     ids=["threshold-nan", "threshold-nan-count-0", "synth-too-many", "seed-env", "count-only-locate", "dims",
          "fractions", "no-dims-line", "bad-dims", "count-ids-differ", "locate-ids-differ", "tune-ids-differ",
          "tune-pred-without-boxes", "tune-nms-out-of-range", "count-empty", "locate-empty", "ablate-empty",
-         "split-too-many"],
+         "split-too-many", "split-negative"],
 )
 def test_cli_error_exits_1_with_its_message(tmp_path, capsys, monkeypatch, argv, seed_env, message):
     paths = {

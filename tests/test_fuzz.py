@@ -108,17 +108,23 @@ def grid_bytes(tag):
     return st.one_of(st.binary(max_size=64), grid_text(tag))
 
 
+def run_quietly(argv):
+    """Run the CLI with its output captured: (exit code, stdout, stderr)."""
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = run([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_on(payload, suffix, argv_of):
     """Write payload to a fresh input file, run the CLI on it, and check the outcome."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"input{suffix}"
         path.write_bytes(payload)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = run(argv_of(str(path), str(Path(tmp) / f"out{suffix}")))
-    assert code in (0, 1), err.getvalue()
+        code, _, err = run_quietly(argv_of(str(path), str(Path(tmp) / f"out{suffix}")))
+    assert code in (0, 1), err
     if code == 1:
-        assert str(path) in err.getvalue(), err.getvalue()
+        assert str(path) in err, err
 
 
 @FUZZ
@@ -201,13 +207,11 @@ def run_pair(docs, bad, argv_of):
         paths = {name: Path(tmp) / f"{name}.json" for name in ("gt", "pred", "out")}
         for name, doc in docs.items():
             paths[name].write_text(json.dumps(doc))
-        err, out = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
-            code = run(argv_of(paths))
+        code, _, err = run_quietly(argv_of(paths))
         if bad:
-            assert code == 1 and str(paths[bad]) in err.getvalue(), (code, err.getvalue())
+            assert code == 1 and str(paths[bad]) in err, (code, err)
             return None
-        assert code == 0, err.getvalue()
+        assert code == 0, err
         return {name: load_manifest(paths[name]) for name in ("gt", "pred")}, json.loads(paths["out"].read_text())
 
 
@@ -255,14 +259,6 @@ def test_fuzz_tune_threshold_equals_the_accuracy_at_each_threshold(case, step, n
     assert curve["accuracies"] == want
     best = want.index(max(want))
     assert (curve["best_threshold"], curve["best_accuracy"]) == (curve["thresholds"][best], want[best])
-
-
-def run_quietly(argv):
-    """Run the CLI with its output captured: (exit code, stdout, stderr)."""
-    err, out = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
-        code = run([str(arg) for arg in argv])
-    return code, out.getvalue(), err.getvalue()
 
 
 @st.composite
