@@ -210,8 +210,7 @@ def _hypot_port(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         csum = _add_exact(csum, -lo * lo, frac3)
         out = (h + (csum - 1.0 + (frac1 + frac2 + frac3)) / (2.0 * h)) / scale
     tiny = np.flatnonzero(top < sys.float_info.min)
-    if tiny.size:
-        out[tiny] = list(map(math.hypot, dx[tiny].tolist(), dy[tiny].tolist()))
+    out[tiny] = list(map(math.hypot, dx[tiny].tolist(), dy[tiny].tolist()))
     return out
 
 

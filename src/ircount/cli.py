@@ -2,7 +2,7 @@
 
 Subcommands: eval-count, eval-locate, tune-threshold, locate-cam,
 winsorize, convert, split, ablate, break-even, bench, synth, report.
-Exit codes: 0 success, 1 validation/usage error, 2 runtime error.
+Exit codes: 0 success, 1 validation/usage error, 2 runtime error, 143 SIGTERM.
 The IRCOUNT_SEED environment variable overrides the default seed of
 every randomized subcommand; an explicit --seed wins over both.
 """
@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -171,11 +172,15 @@ _MAX_FRACTIONS = 1000  # each fraction writes one subset manifest
 
 
 def _parse_fractions(text: str) -> list[float]:
-    if ":" in text:
-        try:
+    is_range = ":" in text
+    try:
+        if is_range:
             start, stop, step = (float(v) for v in text.split(":"))
-        except ValueError:
-            raise ValueError(f"fractions must be start:stop:step or a comma list, got {text!r}") from None
+        else:
+            values = [float(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ValueError(f"fractions must be start:stop:step or a comma list, got {text!r}") from None
+    if is_range:
         if not 0.0 < step < math.inf:
             raise ValueError(f"fraction step must be positive and finite, got {text!r}")
         if not (0.0 < start <= 1.0 and 0.0 < stop <= 1.0):
@@ -190,8 +195,6 @@ def _parse_fractions(text: str) -> list[float]:
                 break
             values.append(min(v, 1.0))
             k += 1
-    else:
-        values = [float(v) for v in text.split(",") if v]
     if not values or any(not 0.0 < v <= 1.0 for v in values) or any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"fractions must be non-empty and ascend within (0, 1], got {text!r}")
     return values
@@ -533,6 +536,8 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # SIGTERM unwinds as SystemExit(143): bench reaps its predictor and atomic writes remove their temp file.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(run())
 
 

@@ -101,11 +101,9 @@ def _rows_ok(rows: np.ndarray, cls: type[BoundingBox | PointAnnotation]) -> bool
     in ``BoundingBox`` and ``PointAnnotation``. Every value lies in [0, 1]
     (a NaN fails, as min and max pass it on), and a box's w and h are
     above 0."""
-    if not len(rows):
-        return True
-    if not (rows.min() >= 0.0 and rows.max() <= 1.0):
+    if not (rows.min(initial=0.0) >= 0.0 and rows.max(initial=0.0) <= 1.0):
         return False
-    return cls is not BoundingBox or rows[:, 2:4].min() > 0.0
+    return cls is not BoundingBox or rows[:, 2:4].min(initial=1.0) > 0.0
 
 
 def _tier(rec_id: object, name: str, value: object, cls: type[BoundingBox | PointAnnotation]) -> np.ndarray | None:
@@ -279,11 +277,9 @@ def split_dataset(ds: Dataset, train_count: int, seed: int) -> tuple[Dataset, Da
     n = len(ds.records)
     if not 0 <= train_count <= n:
         raise ValueError(f"train_count {train_count} out of range [0, {n}]")
-    order = list(range(n))
+    order = list(ds.records)
     random.Random(seed).shuffle(order)
-    train = tuple(ds.records[i] for i in order[:train_count])
-    test = tuple(ds.records[i] for i in order[train_count:])
-    return Dataset(f"{ds.name}-train", train), Dataset(f"{ds.name}-test", test)
+    return Dataset(f"{ds.name}-train", order[:train_count]), Dataset(f"{ds.name}-test", order[train_count:])
 
 
 _JSON_NUMBERS = frozenset((int, float))  # the types json.loads gives numbers; not bool or str

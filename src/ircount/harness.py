@@ -18,7 +18,7 @@ import numpy as np
 
 from ircount._gridio import Grid
 from ircount.camloc import CAM_RANGE
-from ircount.corpus import Dataset
+from ircount.corpus import Dataset, split_dataset
 from ircount.metrics import round_half_away
 from ircount.postprocess import check_curve
 
@@ -81,9 +81,10 @@ DEFAULT_FRACTIONS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 def ablate_fractions(ds: Dataset, fractions: Sequence[float], seed: int) -> list[Dataset]:
     """Nested training subsets drawn from one seeded shuffle.
 
-    Every smaller fraction's subset is a prefix of every larger one, so
-    curves isolate the effect of data quantity alone. Subset size is
-    round(fraction * |ds|) with halves away from zero.
+    Each subset is a prefix of ``split_dataset``'s training order for the
+    same seed, so every smaller fraction's subset is a prefix of every
+    larger one and curves isolate the effect of data quantity alone.
+    Subset size is round(fraction * |ds|) with halves away from zero.
     """
     if not len(ds):
         raise ValueError("cannot ablate an empty dataset")
@@ -94,12 +95,11 @@ def ablate_fractions(ds: Dataset, fractions: Sequence[float], seed: int) -> list
         raise ValueError("fractions must lie in (0, 1]")
     if any(b <= a for a, b in zip(fractions, fractions[1:])):
         raise ValueError("fractions must be strictly ascending")
-    order = list(ds.records)
-    random.Random(seed).shuffle(order)
+    order = split_dataset(ds, len(ds), seed)[0].records
     subsets = []
     for f in fractions:
         size = round_half_away(f * len(order))
-        subsets.append(Dataset(f"{ds.name}[{f:g}]", tuple(order[:size])))
+        subsets.append(Dataset(f"{ds.name}[{f:g}]", order[:size]))
     return subsets
 
 

@@ -152,11 +152,9 @@ def maed(
 
 def round_half_away(value: float) -> int:
     """Nearest integer with halves rounded away from zero."""
-    if value >= 0:
-        base = math.floor(value)
-        return base + 1 if value - base >= 0.5 else base
-    base = math.ceil(value)
-    return base - 1 if base - value >= 0.5 else base
+    base = math.floor(abs(value))
+    rounded = base + 1 if abs(value) - base >= 0.5 else base
+    return -rounded if value < 0 else rounded
 
 
 def decide_count_regression(raw: float) -> int:
@@ -167,9 +165,7 @@ def decide_count_regression(raw: float) -> int:
     """
     if not math.isfinite(raw):
         raise ValueError(f"regression output must be finite, got {raw!r}")
-    if raw < 0:
-        return 0
-    return round_half_away(raw)
+    return max(0, round_half_away(raw))
 
 
 def decide_count_classification(scores: Sequence[float]) -> int:

@@ -5,8 +5,12 @@ import hashlib
 import json
 import os
 import random
+import shlex
+import signal
 import stat
+import subprocess
 import sys
+import time
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -430,6 +434,9 @@ def test_parse_fractions_range_and_list():
         ("0.1:2:0.5", "lie in"),
         ("0:1:0.1", "lie in"),
         ("0.1:1:1e-300", "more than"),
+        ("0.5,0.2", "ascend"),
+        ("1.5", "ascend"),
+        (",", "non-empty"),
     ],
 )
 def test_parse_fractions_rejects_bad_ranges_at_once(text, message):
@@ -540,6 +547,29 @@ def test_bench_cli_predictor_crash_is_runtime_error(capsys):
     cmd = f"{sys.executable} -c \"import sys; sys.exit(3)\""
     assert run(["bench", "--cmd", cmd, "--warmup", "0", "--iters", "5"]) == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_sigterm_ends_the_cli_with_143_and_reaps_the_predictor(tmp_path):
+    # The child publishes its pid, then reads stdin to EOF without answering, so bench blocks on its reply.
+    pid_file = tmp_path / "child.pid"
+    child = ("import os, sys; from pathlib import Path; tmp = Path(sys.argv[1] + '.tmp'); "
+             "tmp.write_text(str(os.getpid())); tmp.replace(sys.argv[1]); sys.stdin.read()")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["bench", "--cmd", shlex.join([sys.executable, "-c", child, str(pid_file)]), "--warmup", "0", "--iters", "1"]
+    proc = subprocess.Popen([sys.executable, "-m", "ircount.cli", *argv], env=env, stdout=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert pid_file.exists()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=5) == 143
+    finally:
+        proc.kill()
+        proc.wait()
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_synth_cli_writes_scene(tmp_path, capsys):
@@ -689,6 +719,8 @@ def test_cli_grid_that_cannot_be_read_exits_1_naming_it(tmp_path, capsys, argv, 
         (["synth", "--n", "1", "--dims", "10", "--out", "{out}"], None, "dims must look like 64x64, got '10'"),
         (["ablate", "--manifest", "{counts}", "--fractions", "a:b:c", "--out-dir", "{out}"], None,
          "fractions must be start:stop:step or a comma list, got 'a:b:c'"),
+        (["ablate", "--manifest", "{counts}", "--fractions", "0.5,x", "--out-dir", "{out}"], None,
+         "fractions must be start:stop:step or a comma list, got '0.5,x'"),
         (["locate-cam", "--map", "{no_dims}", "--count", "1"], None, "{no_dims}: missing dimensions line"),
         (["locate-cam", "--map", "{bad_dims}", "--count", "1"], None, "{bad_dims}: non-integer dimensions '4 x'"),
         (["eval-count", "--gt", "{a}", "--pred", "{b}"], None,
@@ -712,9 +744,9 @@ def test_cli_grid_that_cannot_be_read_exits_1_naming_it(tmp_path, capsys, argv, 
          "--train-count must be >= 0, got -1"),
     ],
     ids=["threshold-nan", "threshold-nan-count-0", "synth-too-many", "seed-env", "count-only-locate", "dims",
-         "fractions", "no-dims-line", "bad-dims", "count-ids-differ", "locate-ids-differ", "tune-ids-differ",
-         "tune-pred-without-boxes", "tune-nms-out-of-range", "count-empty", "locate-empty", "ablate-empty",
-         "split-too-many", "split-negative"],
+         "fractions", "fractions-list", "no-dims-line", "bad-dims", "count-ids-differ", "locate-ids-differ",
+         "tune-ids-differ", "tune-pred-without-boxes", "tune-nms-out-of-range", "count-empty", "locate-empty",
+         "ablate-empty", "split-too-many", "split-negative"],
 )
 def test_cli_error_exits_1_with_its_message(tmp_path, capsys, monkeypatch, argv, seed_env, message):
     paths = {

@@ -89,6 +89,7 @@ def test_record_from_array_equals_record_from_items():
     rows[0, 0] = 0.0  # the record holds its own copy
     assert rec.boxes[0, 0] == 0.25
     assert (rec, hash(rec), repr(rec)) == (twin, hash(twin), repr(twin))
+    assert rec.__eq__("a") is NotImplemented and rec != "a"
     points = ImageRecord("p", 8, 8, points=rows[:, [0, 1, 4]]).points
     assert tuple(PointAnnotation(*row) for row in points.tolist()) == (
         PointAnnotation(0.0, 0.5, 0.75),

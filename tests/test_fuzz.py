@@ -295,7 +295,7 @@ def test_fuzz_split_partitions_the_records_as_ablate_orders_them(doc, data, seed
         for half in ("train", "test"):
             assert all(rec == records[rec.id] for rec in load_manifest(tmp / f"{half}-a.json").records)
         if train_count:
-            # ablate shuffles the records with random.Random(seed) as split shuffles their indices,
+            # ablate takes its order from split's training order for the same seed,
             # and a fraction of k / n keeps round(k) = k records.
             code, out, err = run_quietly(["ablate", "--manifest", src, "--fractions", repr(train_count / n),
                                           "--seed", seed, "--out-dir", tmp / "ablate"])
