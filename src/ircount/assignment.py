@@ -66,9 +66,8 @@ class MatchResult:
 def hungarian(costs: CostMatrix) -> list[tuple[int, int]]:
     """Minimum-cost perfect assignment on a square matrix.
 
-    Jonker–Volgenant: column reduction sets each column's dual to its
-    minimum and gives the column, scanning from the last to the first, to
-    the row holding that minimum if the row is still free. Every row left
+    Jonker–Volgenant: each column's dual starts at its minimum, and
+    ``column_reduction`` gives columns to rows holding them. Every row left
     free is then assigned by a Dijkstra search for a shortest augmenting
     path on the reduced costs, one row at a time in ascending order.
 
@@ -83,20 +82,23 @@ def hungarian(costs: CostMatrix) -> list[tuple[int, int]]:
         return []
     c = costs.costs
     v = c.min(axis=0)
-    col4row = [-1] * n
+    col4row = column_reduction(c[None])[0].tolist()
     row4col = [-1] * n
-    first_min = c.argmin(axis=0).tolist()
-    for j in range(n - 1, -1, -1):
-        i = first_min[j]
-        if col4row[i] < 0:
-            col4row[i] = j
+    for i, j in enumerate(col4row):
+        if j >= 0:
             row4col[j] = i
-    # With v at the column minima and every row dual at zero, c - v >= 0 and
-    # each assigned pair is tight. A row's dual stays implicit from here on:
-    # zero while free, c[i, j] - v[j] once matched to column j.
+    # Row duals stay implicit: zero while free, c[i, j] - v[j] once matched to column j.
     for row in [i for i in range(n) if col4row[i] < 0]:
         _augment(c, v, col4row, row4col, row)
     return list(enumerate(col4row))
+
+
+def column_reduction(costs: np.ndarray) -> np.ndarray:
+    """Each row's column, or -1, after column reduction of a ``(k, n, n)`` stack: from the last
+    column to the first, each goes to its first minimal row if free; a matrix with no -1 is solved."""
+    col4row = np.full(costs.shape[:2], -1)
+    np.maximum.at(col4row, (np.arange(len(costs))[:, None], costs.argmin(axis=1)), np.arange(costs.shape[2]))
+    return col4row
 
 
 def _augment(c: np.ndarray, v: np.ndarray, col4row: list[int], row4col: list[int], row: int) -> None:
@@ -251,6 +253,13 @@ def distance_matrices(
     ``match_points`` on its image alone raises: predictions are checked
     before ground truth, and the first bad image in order is named.
     """
+    return itertools.chain.from_iterable(distance_batches(gt_sets, pred_sets))
+
+
+def distance_batches(
+    gt_sets: Sequence[Sequence[Point]], pred_sets: Sequence[Sequence[Point]]
+) -> Iterator[list[np.ndarray]]:
+    """``distance_matrices``, one list per run of images computed together."""
     xy: list[np.ndarray] = []  # the batch's (x, y) columns, pred and gt alternating
     cells = 0
     for gt, pred in zip(gt_sets, pred_sets):
@@ -264,15 +273,15 @@ def distance_matrices(
             raise
         size = len(image[0]) * len(image[1])
         if xy and cells + size > _BATCH_CELLS:
-            yield from _batch_distances(xy)
+            yield _batch_distances(xy)
             xy, cells = [], 0
         xy += image
         cells += size
     if xy:
-        yield from _batch_distances(xy)
+        yield _batch_distances(xy)
 
 
-def _batch_distances(xy: list[np.ndarray]) -> Iterator[np.ndarray]:
+def _batch_distances(xy: list[np.ndarray]) -> list[np.ndarray]:
     """Distance matrices of a batch of (x, y) columns, pred and gt alternating."""
     p, g = np.concatenate(xy[0::2]), np.concatenate(xy[1::2])
     if not (_in_unit(p) and _in_unit(g)):
@@ -286,10 +295,8 @@ def _batch_distances(xy: list[np.ndarray]) -> Iterator[np.ndarray]:
     shift = np.repeat(np.cumsum(m) - m, n) - (np.cumsum(m_row) - m_row)
     pi = np.arange(m_row.sum()) + np.repeat(shift, m_row)
     dist = _hypot(np.repeat(g[:, 0], m_row) - p[:, 0].take(pi), np.repeat(g[:, 1], m_row) - p[:, 1].take(pi))
-    start = 0
-    for rows, cols in zip(n.tolist(), m.tolist()):
-        yield dist[start : start + rows * cols].reshape(rows, cols)
-        start += rows * cols
+    ends = np.cumsum(n * m).tolist()
+    return [dist[end - r * c : end].reshape(r, c) for end, r, c in zip(ends, n.tolist(), m.tolist())]
 
 
 def matching_objective(result: MatchResult, penalty: float) -> float:

@@ -5,6 +5,7 @@ backs the toolkit's end-to-end checks.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -201,19 +202,19 @@ class ProcessPredictor:
     def close(self) -> None:
         """Close the child's stdin, reap it, then close its stdout. A child
         still running ``CLOSE_WAIT_S`` later is terminated, then killed if
-        SIGTERM has not ended it within ``TERM_WAIT_S``, so no child
-        outlives this call."""
+        SIGTERM has not ended it within ``TERM_WAIT_S`` or at once if an
+        exception (a second SIGTERM) interrupts a wait; no child outlives this call."""
         self._proc.stdin.close()
         try:
             self._proc.wait(timeout=CLOSE_WAIT_S)
         except subprocess.TimeoutExpired:
             self._proc.terminate()
-            try:
+            with contextlib.suppress(subprocess.TimeoutExpired):
                 self._proc.wait(timeout=TERM_WAIT_S)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-        self._proc.stdout.close()
+        finally:
+            self._proc.kill()  # does nothing once the child has been reaped
+            self._proc.wait()
+            self._proc.stdout.close()
 
     def __enter__(self) -> "ProcessPredictor":
         return self

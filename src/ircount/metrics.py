@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from ircount.assignment import Point, distance_matrices, match_points
+import numpy as np
+
+from ircount.assignment import Point, column_reduction, distance_batches, match_points
 
 
 @dataclass(frozen=True)
@@ -133,21 +135,41 @@ def maed(
     if not gt_sets:
         raise ValueError("maed requires at least one image")
     total = 0.0
-    for gt, pred, dist in zip(gt_sets, pred_sets, distance_matrices(gt_sets, pred_sets)):
-        n, m = dist.shape
-        if n == 0 and m == 0:
-            continue
-        result = match_points(gt, pred, distances=dist)
-        contrib = 0.0
-        for _, _, d in result.pairs:
-            contrib += d * d if cfg.squared else d
-        contrib += cfg.penalty * (result.unmatched_gt + result.unmatched_pred)
-        denom = max(n, m) if cfg.denominator == "max_card" else n
-        total += contrib / max(denom, 1)
+    images = zip(gt_sets, pred_sets)
+    for batch in distance_batches(gt_sets, pred_sets):
+        settled = dict(_settled_contributions(batch, cfg.squared))
+        for k, (dist, (gt, pred)) in enumerate(zip(batch, images)):
+            n, m = dist.shape
+            if k in settled:
+                total += settled[k]
+            elif n or m:
+                result = match_points(gt, pred, distances=dist)
+                contrib = 0.0
+                for _, _, d in result.pairs:
+                    contrib += d * d if cfg.squared else d
+                contrib += cfg.penalty * (result.unmatched_gt + result.unmatched_pred)
+                denom = max(n, m) if cfg.denominator == "max_card" else n
+                total += contrib / max(denom, 1)
     score = total / len(gt_sets)
     if not math.isfinite(score):
         raise ValueError(f"localization score overflows float64 with penalty {cfg.penalty}")
     return score
+
+
+def _settled_contributions(batch: list[np.ndarray], squared: bool) -> Iterator[tuple[int, float]]:
+    """Position and ``maed`` contribution of each square image in ``batch`` that column
+    reduction solves; ``np.cumsum`` adds its pair distances in gt order, as the image loop does."""
+    by_size: dict[int, list[int]] = {}
+    for k, dist in enumerate(batch):
+        if dist.shape[0] == dist.shape[1] > 0:
+            by_size.setdefault(len(dist), []).append(k)
+    for n, ks in by_size.items():
+        stack = np.concatenate([batch[k] for k in ks]).reshape(-1, n, n)
+        col4row = column_reduction(stack)
+        solved = np.flatnonzero((col4row >= 0).all(axis=1))
+        d = stack[solved[:, None], np.arange(n), col4row[solved]]
+        sums = np.cumsum(d * d if squared else d, axis=1)[:, -1] / n
+        yield from zip(np.take(ks, solved).tolist(), sums.tolist())
 
 
 def round_half_away(value: float) -> int:
@@ -170,7 +192,7 @@ def decide_count_regression(raw: float) -> int:
 
 def decide_count_classification(scores: Sequence[float]) -> int:
     """Index of the highest class score; ties resolve to the lowest index."""
-    if not scores or not all(map(math.isfinite, scores)):
+    if not len(scores) or not all(map(math.isfinite, scores)):
         raise ValueError(f"classification scores must be non-empty and finite, got {scores!r}")
     return max(range(len(scores)), key=scores.__getitem__)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ircount._gridio import GridFormatError
-from ircount.assignment import MatchResult
+from ircount.assignment import MatchResult, match_points
 from ircount.camloc import CAM_RANGE, Component
 from ircount.corpus import (
     BoundingBox,
@@ -150,6 +150,36 @@ def brute_force_match(gt, pred, penalty=1.0):
         )
     k = len(pairs)
     return MatchResult(pairs, n - k, m - k)
+
+
+def scanned_column_reduction(costs):
+    """Column reduction as one loop over a square matrix: scanning columns
+    from the last to the first, each goes to its first minimal row if that
+    row is still free. Returns each row's column, -1 for a free row."""
+    col4row = [-1] * len(costs)
+    for j, i in reversed(list(enumerate(np.argmin(costs, axis=0).tolist()))):
+        if col4row[i] < 0:
+            col4row[i] = j
+    return col4row
+
+
+def per_image_maed(gt_sets, pred_sets, cfg):
+    """The localization score one image at a time, every image that is not
+    empty on both sides matched by ``match_points``; the sum runs in gt
+    order within an image and in image order over images."""
+    total = 0.0
+    for gt, pred in zip(gt_sets, pred_sets):
+        n, m = len(gt), len(pred)
+        if n == 0 and m == 0:
+            continue
+        result = match_points(gt, pred)
+        contrib = 0.0
+        for _, _, d in result.pairs:
+            contrib += d * d if cfg.squared else d
+        contrib += cfg.penalty * (result.unmatched_gt + result.unmatched_pred)
+        denom = max(n, m) if cfg.denominator == "max_card" else n
+        total += contrib / max(denom, 1)
+    return total / len(gt_sets)
 
 
 _NEIGHBORS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))

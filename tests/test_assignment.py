@@ -15,13 +15,14 @@ from ircount import assignment
 from ircount.assignment import (
     CostMatrix,
     MatchResult,
+    column_reduction,
     distance_matrices,
     hungarian,
     match_points,
     matching_objective,
 )
 from ircount.metrics import MaedConfig, maed
-from oracles import brute_force_match, reference_hungarian
+from oracles import brute_force_match, reference_hungarian, scanned_column_reduction
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 point_lists = st.lists(st.tuples(unit, unit), max_size=6)
@@ -357,6 +358,29 @@ def test_match_points_checks_the_shape_of_given_distances():
     assert match_points(gt, pred, distances=dist) == match_points(gt, pred)
     with pytest.raises(ValueError, match=r"^distances must have shape \(2, 1\), got \(1, 2\)$"):
         match_points(gt, pred, distances=dist.T)
+
+
+# Stacks of square matrices on a k/4 grid, so that equal costs are common.
+quarter_stacks = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.lists(st.integers(0, 4).map(lambda k: k / 4), min_size=n, max_size=n), min_size=n, max_size=n),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+@given(quarter_stacks)
+@example([[[0.0, 0.0], [0.0, 0.0]]])  # both columns' first minimum is row 0
+@example([[[0.5, 0.0], [0.0, 0.5]]])  # settled: rows take columns 1 and 0
+def test_column_reduction_scans_columns_and_a_settled_matrix_needs_no_search(stack):
+    costs = np.array(stack)
+    for c, col4row in zip(costs, column_reduction(costs).tolist()):
+        assert col4row == scanned_column_reduction(c)
+        if -1 not in col4row:  # every column's first minimum is in its own row
+            first_min = c.argmin(axis=0)
+            want = [(i, int(j)) for i, j in enumerate(np.argsort(first_min))]
+            assert hungarian(CostMatrix(len(c), len(c), c)) == want
 
 
 def test_distance_matrices_equal_one_image_at_a_time_across_batches():

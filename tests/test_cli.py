@@ -549,11 +549,14 @@ def test_bench_cli_predictor_crash_is_runtime_error(capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
-def test_sigterm_ends_the_cli_with_143_and_reaps_the_predictor(tmp_path):
-    # The child publishes its pid, then reads stdin to EOF without answering, so bench blocks on its reply.
-    pid_file = tmp_path / "child.pid"
-    child = ("import os, sys; from pathlib import Path; tmp = Path(sys.argv[1] + '.tmp'); "
-             "tmp.write_text(str(os.getpid())); tmp.replace(sys.argv[1]); sys.stdin.read()")
+def sigterm_bench_cli(pid_file, after_eof, gaps):
+    """Run a subprocess CLI ``bench`` against a Python child that publishes
+    its pid, then reads stdin to EOF without answering (so bench blocks on
+    its reply) and runs ``after_eof``. Once the pid file appears, send
+    SIGTERM to the CLI's pid alone, once more after each gap in ``gaps``.
+    Returns the CLI's exit code."""
+    child = ("import os, sys, time; from pathlib import Path; tmp = Path(sys.argv[1] + '.tmp'); "
+             f"tmp.write_text(str(os.getpid())); tmp.replace(sys.argv[1]); sys.stdin.read(); {after_eof}")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = ["bench", "--cmd", shlex.join([sys.executable, "-c", child, str(pid_file)]), "--warmup", "0", "--iters", "1"]
@@ -564,10 +567,28 @@ def test_sigterm_ends_the_cli_with_143_and_reaps_the_predictor(tmp_path):
             time.sleep(0.05)
         assert pid_file.exists()
         proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=5) == 143
+        for gap in gaps:
+            time.sleep(gap)
+            proc.send_signal(signal.SIGTERM)
+        return proc.wait(timeout=5)
     finally:
         proc.kill()
         proc.wait()
+
+
+def test_sigterm_ends_the_cli_with_143_and_reaps_the_predictor(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    assert sigterm_bench_cli(pid_file, "pass", []) == 143
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_second_sigterm_while_close_waits_kills_and_reaps_the_predictor(tmp_path):
+    # The child outlives EOF, so close() is still waiting when the second SIGTERM arrives.
+    pid_file = tmp_path / "child.pid"
+    start = time.monotonic()
+    assert sigterm_bench_cli(pid_file, "time.sleep(60)", [0.5]) == 143
+    assert time.monotonic() - start < harness.CLOSE_WAIT_S
     with pytest.raises(ProcessLookupError):
         os.kill(int(pid_file.read_text()), 0)
 

@@ -2,7 +2,10 @@
 
 import math
 import random
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,7 @@ from ircount.metrics import (
     report_to_dict,
     round_half_away,
 )
-from oracles import brute_force_match
+from oracles import brute_force_match, per_image_maed, scanned_column_reduction
 
 count_pairs = st.lists(
     st.builds(CountPair, st.just("x"), st.integers(0, 13), st.integers(0, 13)),
@@ -162,6 +165,86 @@ def test_maed_and_pairs_equal_brute_force_at_large_penalties(penalty, squared):
         assert maed([gt], [pred], cfg).hex() == want.hex()
 
 
+# Points on a k/16 grid, so that ties and repeated points are common. Sets
+# of 8 or more points tell an in-order sum from numpy's pairwise one.
+grid_coord = st.integers(0, 16).map(lambda k: k / 16)
+grid_points = st.lists(st.tuples(grid_coord, grid_coord), max_size=10)
+
+
+def nudged(points, rng):
+    """Each point moved by less than half the grid step, staying in [0, 1]."""
+    return [(min(x + rng.uniform(0, 1 / 64), 1.0), min(y + rng.uniform(0, 1 / 64), 1.0)) for x, y in points]
+
+
+@st.composite
+def image_sets(draw):
+    """One image's (gt, pred) sets: a nudged permutation of gt (settled
+    unless gt repeats a point), another square set, a non-square pair or
+    empty sides."""
+    gt = draw(grid_points)
+    kind = draw(st.sampled_from(["permuted", "square", "non-square", "one empty", "both empty"]))
+    if kind == "permuted":
+        pred = nudged(draw(st.permutations(gt)), draw(st.randoms(use_true_random=False)))
+    elif kind == "square":
+        pred = draw(st.lists(st.tuples(grid_coord, grid_coord), min_size=len(gt), max_size=len(gt)))
+    elif kind == "non-square":
+        pred = draw(st.lists(st.tuples(grid_coord, grid_coord), min_size=len(gt) + 1, max_size=len(gt) + 3))
+    else:
+        pred = [] if kind == "one empty" else gt[:0]
+        gt = gt if kind == "one empty" else []
+    return (pred, gt) if draw(st.booleans()) else (gt, pred)
+
+
+configs = st.builds(MaedConfig, st.sampled_from([1.0, 0.3]), st.booleans(), st.sampled_from(["max_card", "gt_card"]))
+
+
+@given(st.lists(image_sets(), min_size=1, max_size=30), configs, st.sampled_from([1, 20, 100, 1 << 14]))
+@settings(max_examples=150)
+def test_maed_equals_the_per_image_loop_bit_for_bit(images, cfg, batch_cells):
+    gt_sets, pred_sets = [g for g, _ in images], [p for _, p in images]
+    with mock.patch.object(assignment, "_BATCH_CELLS", batch_cells):
+        got = maed(gt_sets, pred_sets, cfg)
+    assert got.hex() == per_image_maed(gt_sets, pred_sets, cfg).hex()
+
+
+@pytest.mark.parametrize("cfg", [MaedConfig(1.0, sq, den) for sq in (True, False) for den in ("max_card", "gt_card")])
+def test_maed_equals_the_per_image_loop_across_distance_batches(cfg):
+    rng = random.Random(20)
+
+    def grid(count):
+        return [(rng.randint(0, 16) / 16, rng.randint(0, 16) / 16) for _ in range(count)]
+
+    gt_sets, pred_sets = [], []
+    for k in range(500):
+        gt = grid(rng.randint(0, 16))
+        # odd k: a nudged permutation of gt; k = 2 mod 4: another square set; k = 0 mod 4: any size
+        pred = nudged(rng.sample(gt, len(gt)), rng) if k % 2 else grid(len(gt) if k % 4 else rng.randint(0, 16))
+        gt_sets.append(gt)
+        pred_sets.append(pred)
+    assert sum(len(g) * len(p) for g, p in zip(gt_sets, pred_sets)) > 2 * assignment._BATCH_CELLS
+    square = [d for d in assignment.distance_matrices(gt_sets, pred_sets) if d.shape[0] == d.shape[1] > 0]
+    settled = sum(-1 not in scanned_column_reduction(d) for d in square)
+    assert 0 < settled < len(square)
+    assert maed(gt_sets, pred_sets, cfg).hex() == per_image_maed(gt_sets, pred_sets, cfg).hex()
+    # A last-bit difference in one image's sum can vanish in the total, so each image is also scored alone.
+    for gt, pred in zip(gt_sets, pred_sets):
+        assert maed([gt], [pred], cfg).hex() == per_image_maed([gt], [pred], cfg).hex()
+
+
+def test_maed_holds_one_distance_batch_at_a_time():
+    # 200 images of 100 points a side: 2M distances, 16 MB if held at once.
+    rng = np.random.default_rng(200)
+    gt_sets = [rng.random((100, 3)) for _ in range(200)]
+    pred_sets = [g[rng.permutation(100)] if k % 2 else rng.random((100, 3)) for k, g in enumerate(gt_sets)]
+    tracemalloc.start()
+    try:
+        maed(gt_sets, pred_sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_maed_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         maed([[(0.1, 0.1)]], [])
@@ -269,6 +352,15 @@ def test_decide_count_classification_uniform_ties_to_zero():
 def test_decide_count_classification_empty():
     with pytest.raises(ValueError):
         decide_count_classification([])
+
+
+@pytest.mark.parametrize("kind", [list, np.array])
+def test_decide_count_classification_takes_lists_and_arrays(kind):
+    assert decide_count_classification(kind([0.0])) == 0
+    assert decide_count_classification(kind([0.2, 0.7])) == 1
+    assert decide_count_classification(kind([0.4, 0.9, 0.9])) == 1
+    with pytest.raises(ValueError, match="^classification scores must be non-empty and finite"):
+        decide_count_classification(kind([]))
 
 
 @pytest.mark.parametrize("scores", [[math.nan, 0.9], [0.1, math.nan, 0.9], [0.2, math.inf], [-math.inf, 0.0]])

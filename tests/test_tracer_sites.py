@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from conftest import make_dataset
-from ircount import Grid, corpus, preprocess
+from ircount import Grid, corpus, harness, preprocess
+from ircount.corpus import Dataset, ImageRecord
 from ircount.cli import run
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -52,10 +53,16 @@ def test_traced_commands_fill_every_hook_counter(tmp_path):
     scene, out = tmp_path / "scene", tmp_path / "out"
     out.mkdir()
     gt = str(scene / "scene.json")
+    # The scene compared with itself is settled by column reduction, which never calls match_points; the
+    # scene's points plus one more make a non-square matrix, so match_points and hungarian run.
+    points = harness.synth_scene(3, 64, 64, seed=5).points
+    extra = ImageRecord("synth-5-0", 64, 64, points=np.vstack([points, [0.5, 0.5, 1.0]]))
+    corpus.save_manifest(Dataset("extra", (extra,)), tmp_path / "extra.json")
     commands = [
         ["synth", "--n", "3", "--seed", "5", "--out", str(scene)],
         ["convert", "--in", gt, "--to", "points", "--out", str(out / "points.json")],
         ["eval-locate", "--gt", gt, "--pred", str(out / "points.json"), "--out", str(out / "maed.json")],
+        ["eval-locate", "--gt", gt, "--pred", str(tmp_path / "extra.json"), "--out", str(out / "extra.json")],
         ["tune-threshold", "--gt", gt, "--pred", gt, "--grid-step", "0.1", "--out", str(out / "curve.json")],
         ["locate-cam", "--map", str(scene / "map.cam"), "--count", "2", "--seed", "0", "--out", str(out / "cam.json")],
         ["split", "--manifest", str(tmp_path / "counts.json"), "--train-count", "4", "--seed", "1",
