@@ -7,11 +7,8 @@ what they cost is up to the scorer (``matching_objective``, ``metrics.maed``).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import random
-import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -63,7 +60,7 @@ class MatchResult:
     unmatched_pred: int
 
 
-def hungarian(costs: CostMatrix) -> list[tuple[int, int]]:
+def hungarian(costs: CostMatrix) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Minimum-cost perfect assignment on a square matrix.
 
     Jonker–Volgenant: each column's dual starts at its minimum, and
@@ -73,32 +70,32 @@ def hungarian(costs: CostMatrix) -> list[tuple[int, int]]:
 
     Ties resolve deterministically: a column's minimum is its first
     minimal row, and the search settles the lowest-index column among
-    equally distant ones. Returns (row, col) pairs sorted by row.
+    equally distant ones. Returns (row, col) pairs sorted by row and the
+    column duals ``v``: with ``u_i = c[i, col_i] - v[col_i]``, ``c - u - v``
+    is zero on the pairs and, up to rounding, non-negative.
     """
     if costs.rows != costs.cols:
         raise ValueError(f"square matrix required, got {costs.rows} x {costs.cols}")
     n = costs.rows
     if n == 0:
-        return []
+        return [], np.zeros(0)
     c = costs.costs
     v = c.min(axis=0)
-    col4row = column_reduction(c[None])[0].tolist()
-    row4col = [-1] * n
-    for i, j in enumerate(col4row):
-        if j >= 0:
-            row4col[j] = i
+    col4row, row4col = column_reduction(c)
     # Row duals stay implicit: zero while free, c[i, j] - v[j] once matched to column j.
     for row in [i for i in range(n) if col4row[i] < 0]:
         _augment(c, v, col4row, row4col, row)
-    return list(enumerate(col4row))
+    return list(enumerate(col4row)), v
 
 
-def column_reduction(costs: np.ndarray) -> np.ndarray:
-    """Each row's column, or -1, after column reduction of a ``(k, n, n)`` stack: from the last
-    column to the first, each goes to its first minimal row if free; a matrix with no -1 is solved."""
-    col4row = np.full(costs.shape[:2], -1)
-    np.maximum.at(col4row, (np.arange(len(costs))[:, None], costs.argmin(axis=1)), np.arange(costs.shape[2]))
-    return col4row
+def column_reduction(costs: np.ndarray) -> tuple[list[int], list[int]]:
+    """Each row's column and each column's row, or -1, after column reduction of a square matrix: from
+    the last column to the first, each goes to its first minimal row if free; with no -1 it is solved."""
+    col4row, row4col = [-1] * len(costs), [-1] * len(costs)
+    for j, i in reversed(list(enumerate(costs.argmin(axis=0).tolist()))):
+        if col4row[i] < 0:
+            col4row[i], row4col[j] = j, i
+    return col4row, row4col
 
 
 def _augment(c: np.ndarray, v: np.ndarray, col4row: list[int], row4col: list[int], row: int) -> None:
@@ -140,6 +137,44 @@ def _augment(c: np.ndarray, v: np.ndarray, col4row: list[int], row4col: list[int
             break
 
 
+_TAU = 2.0**-30
+"""Margin by which a matching found on ``np.sqrt`` distances must beat every matching
+with other pairs to be taken as the answer on ``math.hypot`` ones.
+
+Let C be the padded S x S matrix solved and H the same with ``math.hypot`` cells, each
+within ε = 2⁻⁵⁰ of C's (``distance_batches``). Matchings differ on alternating cycles
+covering at most S rows, so the excess of one over another moves by at most 2Sε from C
+to H. The certificates show an excess above τ - δ on C, where δ, the rounding of the
+check and of the duals, is below S·2⁻⁴⁷: on costs up to √2 the duals stay in [-2√2, √2]
+(a free column keeps its minimum as dual, so no row dual exceeds √2, and a path lowers a
+column dual by at most √2), so a reduced cost carries a few roundings below 2⁻⁵⁰. On H
+the excess is above τ - S·(2ε + 2⁻⁴⁷) > 0 for S ≤ 2¹⁵ (an 8 GiB matrix), so
+``hungarian``, optimal on H up to the same rounding, returns the same pairs there.
+"""
+
+
+def _certified(c: np.ndarray, col4row: np.ndarray, v: np.ndarray, n: int, m: int) -> bool:
+    """Whether ``col4row``, solved with column duals ``v``, pairs the real n x m part of ``c``
+    more than ``_TAU`` cheaper than any other assignment. Another one differs on alternating
+    cycles, each row taking the next one's column; so row i gets an edge to row k when
+    (i, col4row[k]) has reduced cost at most ``_TAU``, and no cycle certifies. Rows on
+    padding or given a padding column are one node, whose edges to itself go: they change no pair.
+    """
+    rows = np.arange(len(c))
+    u = c[rows, col4row] - v[col4row]
+    src, col = np.divmod(np.flatnonzero(c - u[:, None] <= v + _TAU), len(c))
+    node = np.where((rows >= n) | (col4row >= m), len(c), rows)
+    src, dst = node[src], node[np.argsort(col4row)][col]
+    src, dst = src[src != dst], dst[src != dst]
+    # Prune edges from nodes that nothing enters or to nodes that lead nowhere; any rest holds a cycle.
+    while src.size:
+        live = (np.bincount(dst, minlength=len(c) + 1) > 0)[src] & (np.bincount(src, minlength=len(c) + 1) > 0)[dst]
+        if live.all():
+            return False
+        src, dst = src[live], dst[live]
+    return True
+
+
 def _xy(points: Sequence[Point] | np.ndarray) -> np.ndarray:
     """The (x, y) columns of a set of rows; an empty sequence is an empty set."""
     try:
@@ -165,101 +200,35 @@ def _check_unit(xy: np.ndarray) -> None:
 
 
 _BATCH_CELLS = 1 << 14  # distances computed together; a batch's temporaries stay in cache
-_VELTKAMP = 134217729.0  # 2**27 + 1: x * this splits x into two 26-bit halves
-
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = x * _VELTKAMP
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-def _add_exact(csum: np.ndarray, term: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """``csum + term``, adding its rounding error ``(csum - total) + term``
-    to ``frac`` (exact while ``|csum| >= |term|``); overwrites ``csum``."""
-    total = csum + term
-    np.subtract(csum, total, out=csum)
-    csum += term
-    frac += csum
-    return total
-
-
-def _hypot_port(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """``math.hypot`` per element, bit for bit on CPython 3.10 and 3.11.
-
-    Repeats the interpreter's two-argument ``vector_norm`` operation for
-    operation: scale by a power of two, square each part exactly with
-    Veltkamp/Dekker splits, accumulate in a double-length sum, take one
-    square root and apply one differential correction (Borges, arXiv
-    1904.09481). Cells whose larger part is below 2**-1022, which the
-    interpreter rescales separately, go to ``math.hypot`` itself.
-    """
-    ax, ay = np.abs(dx), np.abs(dy)
-    top = np.maximum(ax, ay)
-    csum = np.ones_like(top)
-    frac1, frac2, frac3 = np.zeros_like(top), np.zeros_like(top), np.zeros_like(top)
-    with np.errstate(all="ignore"):  # only the cells left to math.hypot overflow or divide by zero
-        scale = np.ldexp(1.0, -np.frexp(top)[1])
-        for x in (ax * scale, ay * scale):
-            hi, lo = _split(x)
-            csum = _add_exact(csum, hi * hi, frac1)
-            csum = _add_exact(csum, 2.0 * hi * lo, frac2)
-            frac3 += lo * lo
-        h = np.sqrt(csum - 1.0 + (frac1 + frac2 + frac3))
-        hi, lo = _split(h)
-        csum = _add_exact(csum, -hi * hi, frac1)
-        csum = _add_exact(csum, -2.0 * hi * lo, frac2)
-        csum = _add_exact(csum, -lo * lo, frac3)
-        out = (h + (csum - 1.0 + (frac1 + frac2 + frac3)) / (2.0 * h)) / scale
-    tiny = np.flatnonzero(top < sys.float_info.min)
-    out[tiny] = list(map(math.hypot, dx[tiny].tolist(), dy[tiny].tolist()))
-    return out
-
-
-@functools.cache
-def _port_is_exact() -> bool:
-    """Whether ``_hypot_port`` reproduces this interpreter's ``math.hypot``
-    on a fixed probe set: uniform, near-equal, tiny-against-large and
-    3-decimal-grid pairs, plus every pair of a few edge values."""
-    rng = random.Random(1904)
-    pairs = []
-    for _ in range(512):
-        a, b, eps = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1e-6, 1e-6)
-        grid = (rng.randint(-1000, 1000) / 1000, rng.randint(-1000, 1000) / 1000)
-        pairs += [(a, b), (a, a * (1.0 + eps)), (eps, b), grid]
-    # CPython 3.12's fused Dekker product rounds (0.15, 0.36) differently.
-    edges = (0.0, -0.0, 1.0, 1e-300, 1e-308, 2.0**-1022, 5e-324, 1.0 - 2.0**-53, 0.15, 0.36)
-    pairs += itertools.product(edges, edges)
-    want = np.array([math.hypot(a, b) for a, b in pairs])
-    dx, dy = np.array(pairs).T
-    return bool((_hypot_port(dx, dy).view(np.uint64) == want.view(np.uint64)).all())
-
-
-def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    if _port_is_exact():
-        return _hypot_port(dx, dy)
-    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64, count=dx.size)
 
 
 def distance_matrices(
     gt_sets: Sequence[Sequence[Point]], pred_sets: Sequence[Sequence[Point]]
 ) -> Iterator[np.ndarray]:
-    """Each image's ``(len(gt), len(pred))`` Euclidean distances, in order.
+    """Each image's ``(len(gt), len(pred))`` Euclidean distances, in order, each
+    within ε = 2⁻⁵⁰ of ``math.hypot(gx - px, gy - py)`` (``distance_batches``).
 
-    Every entry is ``math.hypot(gx - px, gy - py)`` bit for bit
-    (``np.hypot`` rounds differently). Runs of consecutive images are
-    computed together, about ``_BATCH_CELLS`` cells at a time, and their
-    points are checked together. A bad point raises the error that
-    ``match_points`` on its image alone raises: predictions are checked
-    before ground truth, and the first bad image in order is named.
+    Runs of consecutive images are computed and their points checked together,
+    about ``_BATCH_CELLS`` cells at a time. A bad point raises the error that
+    ``match_points`` on its image alone raises: predictions are checked before
+    ground truth, and the first bad image in order is named.
     """
-    return itertools.chain.from_iterable(distance_batches(gt_sets, pred_sets))
+    return itertools.chain.from_iterable(batch for _, _, batch in distance_batches(gt_sets, pred_sets))
 
 
 def distance_batches(
     gt_sets: Sequence[Sequence[Point]], pred_sets: Sequence[Sequence[Point]]
-) -> Iterator[list[np.ndarray]]:
-    """``distance_matrices``, one list per run of images computed together."""
+) -> Iterator[tuple[np.ndarray, np.ndarray, list[np.ndarray]]]:
+    """``distance_matrices`` one run of images at a time, with the run's gt and
+    pred (x, y) rows, each set's after the one before.
+
+    An entry is ``sqrt(dx*dx + dy*dy)`` for the rounded differences that
+    ``math.hypot`` gets too. With u = 2⁻⁵³, each square is off by u relative
+    or, if it underflows, 2⁻¹⁰⁷⁵; the sum adds u, and the root halves the
+    relative error and adds u. So an entry is within 3u·h + 2⁻⁵³⁶ < 2.2·2⁻⁵²
+    of the length h ≤ √2. ``math.hypot`` is within an ulp of h (CPython's is
+    correctly rounded but in rare cases), so the two differ by ε < 2⁻⁵⁰.
+    """
     xy: list[np.ndarray] = []  # the batch's (x, y) columns, pred and gt alternating
     cells = 0
     for gt, pred in zip(gt_sets, pred_sets):
@@ -281,8 +250,8 @@ def distance_batches(
         yield _batch_distances(xy)
 
 
-def _batch_distances(xy: list[np.ndarray]) -> list[np.ndarray]:
-    """Distance matrices of a batch of (x, y) columns, pred and gt alternating."""
+def _batch_distances(xy: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The gt rows, pred rows and distance matrices of a batch of (x, y) columns, pred and gt alternating."""
     p, g = np.concatenate(xy[0::2]), np.concatenate(xy[1::2])
     if not (_in_unit(p) and _in_unit(g)):
         for rows in xy:
@@ -294,9 +263,10 @@ def _batch_distances(xy: list[np.ndarray]) -> list[np.ndarray]:
     m_row = np.repeat(m, n)
     shift = np.repeat(np.cumsum(m) - m, n) - (np.cumsum(m_row) - m_row)
     pi = np.arange(m_row.sum()) + np.repeat(shift, m_row)
-    dist = _hypot(np.repeat(g[:, 0], m_row) - p[:, 0].take(pi), np.repeat(g[:, 1], m_row) - p[:, 1].take(pi))
+    dx, dy = (np.repeat(g[:, k], m_row) - p[:, k].take(pi) for k in (0, 1))
+    dist = np.sqrt(dx * dx + dy * dy)
     ends = np.cumsum(n * m).tolist()
-    return [dist[end - r * c : end].reshape(r, c) for end, r, c in zip(ends, n.tolist(), m.tolist())]
+    return g, p, [dist[end - r * c : end].reshape(r, c) for end, r, c in zip(ends, n.tolist(), m.tolist())]
 
 
 def matching_objective(result: MatchResult, penalty: float) -> float:
@@ -325,24 +295,30 @@ def match_points(
     ``distance_matrices``; by default it is computed here, the same way.
 
     The distance matrix is padded to a max(n, m) square with its largest
-    entry and solved exactly. Every perfect assignment of that square uses
-    exactly |n - m| padding entries, so the padding value never changes
-    which pairs win. Assignments to padding become unmatched counts.
+    entry and solved. Every perfect assignment of that square uses exactly
+    |n - m| padding entries, so the padding value never changes which pairs
+    win. Assignments to padding become unmatched counts. Unless ``_certified``
+    shows that the ``math.hypot`` matrix gives the same pairs, that matrix is
+    built and solved. A pair's distance is ``math.hypot(gx - px, gy - py)``.
     """
     if distances is None:
-        dist = next(distance_matrices([gt], [pred]))
-        n, m = dist.shape
+        g, p, (dist,) = next(distance_batches([gt], [pred]))
     else:
-        try:
-            n, m = len(gt), len(pred)
-        except TypeError:  # a 0-d array or a scalar has no length: _xy words its shape error
-            n, m = len(_xy(gt)), len(_xy(pred))
-        if np.shape(distances) != (n, m):
-            raise ValueError(f"distances must have shape {(n, m)}, got {np.shape(distances)}")
-        dist = distances
+        g, p, dist = _xy(gt), _xy(pred), distances
+        if np.shape(dist) != (len(g), len(p)):
+            raise ValueError(f"distances must have shape {(len(g), len(p))}, got {np.shape(dist)}")
+    n, m = len(g), len(p)
     size = max(n, m)
     grid = np.full((size, size), dist.max(initial=0.0))
     grid[:n, :m] = dist
-    assignment = hungarian(CostMatrix(size, size, grid))
-    pairs = tuple((i, j, float(dist[i, j])) for i, j in assignment[:n] if j < m)
+    assignment, v = hungarian(CostMatrix(size, size, grid))
+    col4row = np.array([j for _, j in assignment], dtype=np.intp)
+    if not _certified(grid, col4row, v, n, m):
+        dx, dy = (np.subtract.outer(g[:, k], p[:, k]).ravel().tolist() for k in (0, 1))
+        grid[:n, :m] = np.fromiter(map(math.hypot, dx, dy), dtype=np.float64, count=n * m).reshape(n, m)
+        grid[n:] = grid[:, m:] = grid[:n, :m].max(initial=0.0)
+        assignment, _ = hungarian(CostMatrix(size, size, grid))
+    gi, pi = np.array([(i, j) for i, j in assignment[:n] if j < m], dtype=np.intp).reshape(-1, 2).T
+    dx, dy = (g[gi, k] - p[pi, k] for k in (0, 1))
+    pairs = tuple(zip(gi.tolist(), pi.tolist(), map(math.hypot, dx.tolist(), dy.tolist())))
     return MatchResult(pairs, n - len(pairs), m - len(pairs))

@@ -7,6 +7,7 @@ fixed penalty for every unmatched point.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ircount.assignment import Point, column_reduction, distance_batches, match_points
+from ircount.assignment import _TAU, Point, distance_batches, match_points
 
 
 @dataclass(frozen=True)
@@ -136,40 +137,57 @@ def maed(
         raise ValueError("maed requires at least one image")
     total = 0.0
     images = zip(gt_sets, pred_sets)
-    for batch in distance_batches(gt_sets, pred_sets):
-        settled = dict(_settled_contributions(batch, cfg.squared))
+    for g, p, batch in distance_batches(gt_sets, pred_sets):
+        settled = dict(_settled_pairs(g, p, batch))
         for k, (dist, (gt, pred)) in enumerate(zip(batch, images)):
             n, m = dist.shape
-            if k in settled:
-                total += settled[k]
-            elif n or m:
-                result = match_points(gt, pred, distances=dist)
-                contrib = 0.0
-                for _, _, d in result.pairs:
-                    contrib += d * d if cfg.squared else d
-                contrib += cfg.penalty * (result.unmatched_gt + result.unmatched_pred)
-                denom = max(n, m) if cfg.denominator == "max_card" else n
-                total += contrib / max(denom, 1)
+            pairs = settled[k] if k in settled else [d for _, _, d in match_points(gt, pred, distances=dist).pairs]
+            contrib = 0.0
+            for d in pairs:  # in gt order
+                contrib += d * d if cfg.squared else d
+            contrib += cfg.penalty * abs(n - m)
+            denom = max(n, m) if cfg.denominator == "max_card" else n
+            total += contrib / max(denom, 1)
     score = total / len(gt_sets)
     if not math.isfinite(score):
         raise ValueError(f"localization score overflows float64 with penalty {cfg.penalty}")
     return score
 
 
-def _settled_contributions(batch: list[np.ndarray], squared: bool) -> Iterator[tuple[int, float]]:
-    """Position and ``maed`` contribution of each square image in ``batch`` that column
-    reduction solves; ``np.cumsum`` adds its pair distances in gt order, as the image loop does."""
-    by_size: dict[int, list[int]] = {}
-    for k, dist in enumerate(batch):
-        if dist.shape[0] == dist.shape[1] > 0:
-            by_size.setdefault(len(dist), []).append(k)
-    for n, ks in by_size.items():
-        stack = np.concatenate([batch[k] for k in ks]).reshape(-1, n, n)
-        col4row = column_reduction(stack)
-        solved = np.flatnonzero((col4row >= 0).all(axis=1))
-        d = stack[solved[:, None], np.arange(n), col4row[solved]]
-        sums = np.cumsum(d * d if squared else d, axis=1)[:, -1] / n
-        yield from zip(np.take(ks, solved).tolist(), sums.tolist())
+def _settled_pairs(g: np.ndarray, p: np.ndarray, batch: list[np.ndarray]) -> Iterator[tuple[int, list[float]]]:
+    """Position and pair distances, in gt order, of each image in ``batch`` (``g`` and ``p``
+    its (x, y) rows) that settles without the solver: each row, a point of its smaller set,
+    has a nearest column more than ``_TAU`` nearer than its second nearest and nearest to no
+    other row. Another matching moves rows off their nearest at above ``_TAU`` each, so
+    ``hungarian`` pairs them so on ``math.hypot`` cells too (``assignment._TAU``).
+    """
+    n, m = np.array([d.shape for d in batch]).T
+    wide = n <= m  # rows are gt points, else pred
+    rows, width = np.minimum(n, m), np.maximum(n, m)
+    cells = np.concatenate([(d if w else d.T).ravel() for d, w in zip(batch, wide.tolist())])
+    length = np.repeat(width, rows)
+    start = np.cumsum(length) - length
+    image = np.repeat(np.arange(len(batch)), rows)
+    nearest = np.minimum.reduceat(cells, start)
+    hits = np.flatnonzero(cells == np.repeat(nearest, length))
+    first = hits[np.searchsorted(hits, start)]
+    cells[first] = np.inf
+    col = first - start
+    settled = np.ones(len(batch), dtype=bool)
+    settled[image[np.minimum.reduceat(cells, start) - nearest <= _TAU]] = False
+    taken = np.sort(image * width.max() + col)
+    settled[taken[1:][taken[1:] == taken[:-1]] // width.max()] = False
+    if not settled.any():
+        return
+    row = np.arange(len(image)) - np.repeat(np.cumsum(rows) - rows, rows)
+    gi = np.where(wide[image], row, col) + np.repeat(np.cumsum(n) - n, rows)
+    pi = np.where(wide[image], col, row) + np.repeat(np.cumsum(m) - m, rows)
+    keep = np.flatnonzero(settled[image])
+    keep = keep[np.lexsort((gi[keep], image[keep]))]  # gt order within each image
+    dx, dy = (g[gi[keep], k] - p[pi[keep], k] for k in (0, 1))
+    pair_distances = iter(map(math.hypot, dx.tolist(), dy.tolist()))
+    for k in np.flatnonzero(settled).tolist():
+        yield k, list(itertools.islice(pair_distances, int(rows[k])))
 
 
 def round_half_away(value: float) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ircount._gridio import GridFormatError
-from ircount.assignment import MatchResult, match_points
+from ircount.assignment import CostMatrix, MatchResult, match_points
 from ircount.camloc import CAM_RANGE, Component
 from ircount.corpus import (
     BoundingBox,
@@ -177,6 +177,29 @@ def per_image_maed(gt_sets, pred_sets, cfg):
         for _, _, d in result.pairs:
             contrib += d * d if cfg.squared else d
         contrib += cfg.penalty * (result.unmatched_gt + result.unmatched_pred)
+        denom = max(n, m) if cfg.denominator == "max_card" else n
+        total += contrib / max(denom, 1)
+    return total / len(gt_sets)
+
+
+def exact_maed(gt_sets, pred_sets, cfg, solve=reference_hungarian):
+    """The localization score from each image's ``math.hypot`` matrix, padded to a
+    square with its largest cell and solved by ``solve`` (a ``CostMatrix`` to
+    (row, col) pairs); sums run in gt order within an image and in image order."""
+    total = 0.0
+    for gt, pred in zip(gt_sets, pred_sets):
+        n, m = len(gt), len(pred)
+        if n == 0 and m == 0:
+            continue
+        dist = [[math.hypot(g[0] - p[0], g[1] - p[1]) for p in pred] for g in gt]
+        pad = max((d for row in dist for d in row), default=0.0)
+        size = max(n, m)
+        grid = [[dist[i][j] if i < n and j < m else pad for j in range(size)] for i in range(size)]
+        contrib = 0.0
+        for i, j in sorted(solve(CostMatrix(size, size, grid))):
+            if i < n and j < m:
+                contrib += dist[i][j] * dist[i][j] if cfg.squared else dist[i][j]
+        contrib += cfg.penalty * abs(n - m)
         denom = max(n, m) if cfg.denominator == "max_card" else n
         total += contrib / max(denom, 1)
     return total / len(gt_sets)

@@ -2,9 +2,7 @@
 
 import itertools
 import math
-import platform
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -78,16 +76,16 @@ def test_cost_matrix_holds_a_read_only_copy():
 def test_hungarian_tie_rule_on_all_equal_costs():
     # Column reduction gives the last column to row 0 (the first minimal row
     # of every column); each later row then takes the lowest free column.
-    assert hungarian(CostMatrix(4, 4, (0.0,) * 16)) == [(0, 3), (1, 0), (2, 1), (3, 2)]
+    assert hungarian(CostMatrix(4, 4, (0.0,) * 16))[0] == [(0, 3), (1, 0), (2, 1), (3, 2)]
 
 
 def test_hungarian_one_by_one():
-    assert hungarian(CostMatrix(1, 1, (3.0,))) == [(0, 0)]
+    assert hungarian(CostMatrix(1, 1, (3.0,)))[0] == [(0, 0)]
 
 
 def test_hungarian_diagonal_optimum():
     cm = CostMatrix(2, 2, (0.0, 1.0, 1.0, 0.0))
-    assign = hungarian(cm)
+    assign = hungarian(cm)[0]
     assert set(assign) == {(0, 0), (1, 1)}
     assert sum(float(cm.costs[r, c]) for r, c in assign) == 0.0
 
@@ -98,14 +96,14 @@ def test_hungarian_rejects_rectangular():
 
 
 def test_hungarian_empty():
-    assert hungarian(CostMatrix(0, 0, ())) == []
+    assert hungarian(CostMatrix(0, 0, ()))[0] == []
 
 
 def test_hungarian_matches_exhaustive_on_random_6x6():
     rng = random.Random(606)
     for _ in range(60):
         cm = CostMatrix(6, 6, tuple(rng.random() for _ in range(36)))
-        assign = hungarian(cm)
+        assign = hungarian(cm)[0]
         assert sorted(r for r, _ in assign) == list(range(6))
         assert sorted(c for _, c in assign) == list(range(6))
         total = sum(float(cm.costs[r, c]) for r, c in assign)
@@ -117,7 +115,7 @@ def test_hungarian_matches_exhaustive_on_random_6x6():
 def test_hungarian_never_beaten_by_random_permutations(n, seed):
     rng = random.Random(seed)
     cm = CostMatrix(n, n, tuple(rng.random() for _ in range(n * n)))
-    total = sum(float(cm.costs[r, c]) for r, c in hungarian(cm))
+    total = sum(float(cm.costs[r, c]) for r, c in hungarian(cm)[0])
     for _ in range(10):
         perm = list(range(n))
         rng.shuffle(perm)
@@ -127,10 +125,10 @@ def test_hungarian_never_beaten_by_random_permutations(n, seed):
 def test_hungarian_scaling_scales_total():
     rng = random.Random(17)
     cm = CostMatrix(5, 5, tuple(rng.random() for _ in range(25)))
-    total = sum(float(cm.costs[r, c]) for r, c in hungarian(cm))
+    total = sum(float(cm.costs[r, c]) for r, c in hungarian(cm)[0])
     for factor in (0.25, 3.0, 1e3):
         scaled = CostMatrix(5, 5, tuple(c * factor for c in cm.costs))
-        scaled_total = sum(float(scaled.costs[r, c]) for r, c in hungarian(scaled))
+        scaled_total = sum(float(scaled.costs[r, c]) for r, c in hungarian(scaled)[0])
         assert scaled_total == pytest.approx(total * factor, rel=1e-12)
 
 
@@ -218,14 +216,14 @@ def square(n, rng, values):
 @settings(max_examples=150, deadline=None)
 def test_hungarian_equals_reference_on_continuous_costs(n, seed):
     cm = square(n, random.Random(seed), lambda rng: rng.random())
-    assert hungarian(cm) == reference_hungarian(cm)
+    assert hungarian(cm)[0] == reference_hungarian(cm)
 
 
 @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**31))
 @settings(max_examples=300, deadline=None)
 def test_hungarian_objective_equals_reference_under_heavy_ties(n, top, seed):
     cm = square(n, random.Random(seed), lambda rng: float(rng.randint(0, top)))
-    assign = hungarian(cm)
+    assign = hungarian(cm)[0]
     assert sorted(c for _, c in assign) == list(range(n))
     assert sum(float(cm.costs[r, c]) for r, c in assign) == sum(
         float(cm.costs[r, c]) for r, c in reference_hungarian(cm)
@@ -241,7 +239,7 @@ def test_hungarian_objective_equals_scipy_on_padded_instances(n, m, seed):
     grid = np.full((size, size), penalty)
     grid[:n, :m] = np.hypot(gt[:, None, 0] - pred[None, :, 0], gt[:, None, 1] - pred[None, :, 1])
     rows, cols = optimize.linear_sum_assignment(grid)
-    assign = hungarian(CostMatrix(size, size, grid))
+    assign = hungarian(CostMatrix(size, size, grid))[0]
     assert sorted(c for _, c in assign) == list(range(size))
     assert math.fsum(grid[r, c] for r, c in assign) == pytest.approx(
         math.fsum(grid[rows, cols].tolist()), rel=1e-12
@@ -279,78 +277,6 @@ def test_match_points_names_the_first_unnormalized_point():
         match_points([(0.1, 0.1)], [(2.0, 0.2), (math.nan, 0.0)])
 
 
-CPYTHON_HYPOT = platform.python_implementation() == "CPython" and sys.version_info[:2] in ((3, 10), (3, 11))
-needs_cpython_hypot = pytest.mark.skipif(not CPYTHON_HYPOT, reason="the port follows CPython 3.10/3.11's math.hypot")
-
-coords = st.one_of(
-    st.floats(-1.0, 1.0),  # includes subnormals and both zeros
-    st.integers(-1000, 1000).map(lambda k: k / 1000),
-    st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1022, 1e-308, 1e-300, 1.0 - 2**-53, 1.0]),
-)
-near_pairs = st.builds(lambda a, k: (a, a + k * math.ulp(a)), coords, st.integers(-8, 8))
-
-
-@needs_cpython_hypot
-@given(st.lists(st.one_of(st.tuples(coords, coords), near_pairs), min_size=1, max_size=64))
-@example([(0.15, 0.36)])
-@settings(max_examples=300)
-def test_hypot_port_is_math_hypot_bit_for_bit(pairs):
-    dx, dy = (np.array(c, dtype=np.float64) for c in zip(*pairs))
-    got = assignment._hypot_port(dx, dy)
-    assert [d.hex() for d in got.tolist()] == [math.hypot(x, y).hex() for x, y in pairs]
-
-
-@needs_cpython_hypot
-def test_hypot_port_passes_its_probe_here():
-    assert assignment._port_is_exact()
-
-
-def fused_hypot(dx, dy):
-    """CPython 3.12's hypot: the same double-length sum, but each square
-    comes from a fused Dekker product. It rounds (0.15, 0.36) differently."""
-
-    def dl_mul(x, y):
-        (xh, xl), (yh, yl) = assignment._split(x), assignment._split(y)
-        p, q = xh * yh, xh * yl + xl * yh
-        z = p + q
-        return z, p - z + q + xl * yl
-
-    ax, ay = np.abs(dx), np.abs(dy)
-    with np.errstate(all="ignore"):
-        scale = np.ldexp(1.0, -np.frexp(np.maximum(ax, ay))[1])
-        csum, frac1, frac2 = 1.0, 0.0, 0.0
-        for x in (ax * scale, ay * scale, None):
-            if x is None:  # the correction step squares -h
-                h = np.sqrt(csum - 1.0 + (frac1 + frac2))
-                hi, lo = dl_mul(-h, h)
-            else:
-                hi, lo = dl_mul(x, x)
-            total = csum + hi
-            frac1, frac2, csum = frac1 + lo, frac2 + ((csum - total) + hi), total
-        return (h + (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)) / scale
-
-
-@pytest.fixture
-def probe_rerun_after():
-    yield
-    assignment._port_is_exact.cache_clear()
-
-
-def test_probe_mismatch_sends_maed_to_math_hypot(monkeypatch, probe_rerun_after):
-    rng = random.Random(12)
-    grid = [(rng.randint(0, 1000) / 1000, rng.randint(0, 1000) / 1000) for _ in range(1500)]
-    sets = [rng.sample(grid, rng.randint(0, 90)) for _ in range(30)]
-    gt, pred = sets[:15], sets[15:]
-    want = [maed(gt, pred, MaedConfig(squared=s)).hex() for s in (True, False)]
-    assert fused_hypot(np.array([0.15]), np.array([0.36]))[0] != math.hypot(0.15, 0.36)
-    calls = []
-    monkeypatch.setattr(assignment, "_hypot_port", lambda dx, dy: calls.append(dx.size) or fused_hypot(dx, dy))
-    assignment._port_is_exact.cache_clear()
-    assert not assignment._port_is_exact()
-    assert [maed(gt, pred, MaedConfig(squared=s)).hex() for s in (True, False)] == want
-    assert len(calls) == 1  # the probe, and nothing after it
-
-
 def test_match_points_checks_the_shape_of_given_distances():
     gt, pred = [(0.1, 0.1), (0.5, 0.5)], [(0.2, 0.2)]
     dist = next(distance_matrices([gt], [pred]))
@@ -374,13 +300,39 @@ quarter_stacks = st.integers(1, 6).flatmap(
 @example([[[0.0, 0.0], [0.0, 0.0]]])  # both columns' first minimum is row 0
 @example([[[0.5, 0.0], [0.0, 0.5]]])  # settled: rows take columns 1 and 0
 def test_column_reduction_scans_columns_and_a_settled_matrix_needs_no_search(stack):
-    costs = np.array(stack)
-    for c, col4row in zip(costs, column_reduction(costs).tolist()):
+    for c in np.array(stack):
+        col4row, row4col = column_reduction(c)
         assert col4row == scanned_column_reduction(c)
+        assert [row4col[j] for j in col4row if j >= 0] == [i for i, j in enumerate(col4row) if j >= 0]
+        assert row4col.count(-1) == col4row.count(-1)
         if -1 not in col4row:  # every column's first minimum is in its own row
             first_min = c.argmin(axis=0)
             want = [(i, int(j)) for i, j in enumerate(np.argsort(first_min))]
-            assert hungarian(CostMatrix(len(c), len(c), c)) == want
+            assert hungarian(CostMatrix(len(c), len(c), c))[0] == want
+
+
+EPSILON = 2.0**-50  # distance_batches' bound against math.hypot
+
+# Coordinates in [0, 1] with subnormals, squares that underflow, and near neighbours.
+unit_coords = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(0, 1000).map(lambda k: k / 1000),
+    st.sampled_from([0.0, 5e-324, 2.0**-1022, 1e-308, 1e-300, 1e-160, 1.0 - 2**-53, 1.0]),
+)
+unit_sets = st.lists(st.tuples(unit_coords, unit_coords), max_size=8)
+
+
+def within_epsilon_of_hypot(gt, pred, dist):
+    for (gx, gy), row in zip(gt, dist.tolist()):
+        for (px, py), d in zip(pred, row):
+            assert abs(d - math.hypot(gx - px, gy - py)) <= EPSILON
+
+
+@given(unit_sets, unit_sets)
+@example([(0.15, 0.0)], [(0.0, 0.36)])
+@example([(1e-300, 5e-324)], [(0.0, 0.0)])
+def test_distances_are_within_epsilon_of_math_hypot(gt, pred):
+    within_epsilon_of_hypot(gt, pred, next(distance_matrices([gt], [pred])))
 
 
 def test_distance_matrices_equal_one_image_at_a_time_across_batches():
@@ -392,8 +344,8 @@ def test_distance_matrices_equal_one_image_at_a_time_across_batches():
     assert sum(n * m for n, m in sizes) > 2 * assignment._BATCH_CELLS
     assert [d.shape for d in got] == sizes
     for g, p, d in zip(gt_sets, pred_sets, got):
-        want = [[math.hypot(gx - px, gy - py) for px, py in p.tolist()] for gx, gy, _ in g.tolist()]
-        assert [[v.hex() for v in row] for row in d.tolist()] == [[v.hex() for v in row] for row in want]
+        within_epsilon_of_hypot(g[:, :2].tolist(), p.tolist(), d)
+        assert d.tobytes() == next(distance_matrices([g], [p])).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -441,3 +393,80 @@ def test_maed_reports_an_earlier_bad_point_before_a_later_bad_shape():
         maed([good, good], [far, np.zeros((1, 1))])
     with pytest.raises(ValueError, match=r"got shape \(1, 1\)$"):
         maed([good, good], [np.zeros((1, 1)), far])
+
+
+def certified(costs, n, m):
+    """Solve a square ``costs`` whose real part is n x m and ask the certificate."""
+    cm = CostMatrix(len(costs), len(costs), costs)
+    pairs, v = hungarian(cm)
+    col4row = np.array([j for _, j in pairs])
+    return assignment._certified(cm.costs, col4row, v, n, m)
+
+
+def test_hungarian_duals_price_every_pair_at_zero_and_no_cell_below():
+    rng = np.random.default_rng(9)
+    for size in (1, 2, 7, 40):
+        cm = CostMatrix(size, size, rng.random((size, size)))
+        pairs, v = hungarian(cm)
+        col4row = np.array([j for _, j in pairs])
+        u = cm.costs[np.arange(size), col4row] - v[col4row]
+        reduced = cm.costs - u[:, None] - v
+        assert reduced.min() >= -1e-15
+        assert np.all(reduced[np.arange(size), col4row] == 0.0)
+
+
+@pytest.mark.parametrize("gap, want", [(2.0**-40, False), (2.0**-20, True), (0.0, False)])
+def test_certificate_refuses_a_matching_that_wins_by_less_than_tau(gap, want):
+    # The diagonal costs 2 - gap, the other matching 2.
+    costs = np.array([[0.0, 1.0], [1.0, 2.0 - gap]])
+    assert certified(costs, 2, 2) is want
+    # The same pairs in a 2 x 3 image, whose padding row takes the far column.
+    assert certified(np.pad(costs, ((0, 1), (0, 1)), constant_values=3.0), 2, 3) is want
+
+
+def counted_hungarian(monkeypatch):
+    calls = []
+
+    def counting(costs):
+        calls.append(costs.rows)
+        return hungarian(costs)
+
+    monkeypatch.setattr(assignment, "hungarian", counting)
+    return calls
+
+
+@pytest.mark.parametrize("extra_side", ["gt", "pred"])
+def test_points_left_on_padding_that_tie_everywhere_still_certify(monkeypatch, extra_side):
+    # (0.1, 0.5) and (0.9, 0.5) are as far from every point on x = 0.5, so
+    # either may go unmatched; no pair changes, and one solve is enough.
+    pair = [(0.5, 0.2), (0.5, 0.8)]
+    both = pair + [(0.1, 0.5), (0.9, 0.5)]
+    gt, pred = (both, pair) if extra_side == "gt" else (pair, both)
+    calls = counted_hungarian(monkeypatch)
+    result = match_points(gt, pred)
+    assert calls == [4]
+    assert result.pairs == ((0, 0, 0.0), (1, 1, 0.0))
+    assert (result.unmatched_gt, result.unmatched_pred) == ((2, 0) if extra_side == "gt" else (0, 2))
+
+
+@pytest.mark.parametrize("pred", [[(0.5, 0.5), (0.75, 0.5)], [(0.75, 0.5), (0.5, 0.5)]])
+def test_a_tied_matching_is_refused_and_solved_on_math_hypot_cells(monkeypatch, pred):
+    gt = [(0.0, 0.5), (0.125, 0.5)]  # both matchings cost 1.125
+    calls = counted_hungarian(monkeypatch)
+    result = match_points(gt, pred)
+    assert calls == [2, 2]
+    want = hungarian(CostMatrix(2, 2, [[math.hypot(g[0] - p[0], g[1] - p[1]) for p in pred] for g in gt]))[0]
+    assert [(i, j) for i, j, _ in result.pairs] == want
+    assert matching_objective(result, 1.0) == 1.125
+
+
+@given(unit_sets, unit_sets)
+@settings(max_examples=150)
+def test_match_points_pairs_are_the_math_hypot_solution(gt, pred):
+    n, m = len(gt), len(pred)
+    size = max(n, m)
+    dist = [[math.hypot(gx - px, gy - py) for px, py in pred] for gx, gy in gt]
+    grid = np.full((size, size), max((d for row in dist for d in row), default=0.0))
+    grid[:n, :m] = np.array(dist).reshape(n, m)
+    want = tuple((i, j, dist[i][j]) for i, j in hungarian(CostMatrix(size, size, grid))[0] if i < n and j < m)
+    assert match_points(gt, pred).pairs == want

@@ -1,5 +1,6 @@
 """Count metrics, per-class breakdown, localization score, decision rules."""
 
+import contextlib
 import math
 import random
 import tracemalloc
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ircount import assignment
-from ircount.assignment import match_points, matching_objective
+from ircount import assignment, metrics
+from ircount.assignment import hungarian, match_points, matching_objective
 from ircount.metrics import (
     CountPair,
     MaedConfig,
@@ -26,7 +27,7 @@ from ircount.metrics import (
     report_to_dict,
     round_half_away,
 )
-from oracles import brute_force_match, per_image_maed, scanned_column_reduction
+from oracles import brute_force_match, exact_maed, per_image_maed
 
 count_pairs = st.lists(
     st.builds(CountPair, st.just("x"), st.integers(0, 13), st.integers(0, 13)),
@@ -207,6 +208,19 @@ def test_maed_equals_the_per_image_loop_bit_for_bit(images, cfg, batch_cells):
     assert got.hex() == per_image_maed(gt_sets, pred_sets, cfg).hex()
 
 
+@contextlib.contextmanager
+def counted_match_points():
+    """Record the (gt, pred) sizes of every image that ``maed`` sends to ``match_points``."""
+    calls = []
+
+    def counting(gt, pred, **kwargs):
+        calls.append((len(gt), len(pred)))
+        return match_points(gt, pred, **kwargs)
+
+    with mock.patch.object(metrics, "match_points", counting):
+        yield calls
+
+
 @pytest.mark.parametrize("cfg", [MaedConfig(1.0, sq, den) for sq in (True, False) for den in ("max_card", "gt_card")])
 def test_maed_equals_the_per_image_loop_across_distance_batches(cfg):
     rng = random.Random(20)
@@ -222,13 +236,76 @@ def test_maed_equals_the_per_image_loop_across_distance_batches(cfg):
         gt_sets.append(gt)
         pred_sets.append(pred)
     assert sum(len(g) * len(p) for g, p in zip(gt_sets, pred_sets)) > 2 * assignment._BATCH_CELLS
-    square = [d for d in assignment.distance_matrices(gt_sets, pred_sets) if d.shape[0] == d.shape[1] > 0]
-    settled = sum(-1 not in scanned_column_reduction(d) for d in square)
-    assert 0 < settled < len(square)
-    assert maed(gt_sets, pred_sets, cfg).hex() == per_image_maed(gt_sets, pred_sets, cfg).hex()
+    with counted_match_points() as calls:
+        got = maed(gt_sets, pred_sets, cfg)
+    assert 0 < len(calls) < sum(1 for g, p in zip(gt_sets, pred_sets) if g or p)  # some images settle in bulk
+    assert got.hex() == per_image_maed(gt_sets, pred_sets, cfg).hex()
     # A last-bit difference in one image's sum can vanish in the total, so each image is also scored alone.
     for gt, pred in zip(gt_sets, pred_sets):
         assert maed([gt], [pred], cfg).hex() == per_image_maed([gt], [pred], cfg).hex()
+
+
+def hungarian_pairs(costs):
+    return hungarian(costs)[0]
+
+
+all_configs = [
+    MaedConfig(pen, sq, den) for pen in (1.0, 0.25) for sq in (True, False) for den in ("max_card", "gt_card")
+]
+
+
+@pytest.mark.parametrize(
+    "gt, pred",
+    [
+        ([(0.5, 0.5)], [(0.25, 0.5)]),  # 1 x 1
+        ([(0.1, 0.1), (0.9, 0.9)], [(0.12, 0.1), (0.5, 0.5), (0.88, 0.9)]),  # wide: gt points are the rows
+        ([(0.88, 0.9), (0.5, 0.5), (0.12, 0.1)], [(0.1, 0.1), (0.9, 0.9)]),  # tall: pairs summed in gt order
+        ([(0.3, 0.3)], []),
+        ([], [(0.3, 0.3), (0.6, 0.6)]),
+    ],
+)
+def test_images_of_every_shape_settle_without_the_solver(gt, pred):
+    with counted_match_points() as calls:
+        got = [maed([gt], [pred], cfg).hex() for cfg in all_configs]
+    assert calls == []
+    assert got == [exact_maed([gt], [pred], cfg).hex() for cfg in all_configs]
+
+
+@pytest.mark.parametrize(
+    "gt, pred",
+    [
+        ([(0.5, 0.5)], [(0.25, 0.5), (0.75, 0.5)]),  # two nearest points at the same distance
+        ([(0.5, 0.5)], [(0.25, 0.5), (0.75 + 2.0**-40, 0.5)]),  # 2**-40 apart, within _TAU
+        ([(0.4, 0.5), (0.45, 0.5)], [(0.5, 0.5), (0.9, 0.9)]),  # both rows nearest to one column
+        ([(0.4, 0.5), (0.4, 0.5)], [(0.5, 0.5), (0.9, 0.9)]),  # a repeated point
+    ],
+)
+def test_images_whose_nearest_points_tie_or_clash_go_to_match_points(gt, pred):
+    for a, b in ((gt, pred), (pred, gt)):
+        with counted_match_points() as calls:
+            got = [maed([a], [b], cfg).hex() for cfg in all_configs]
+        assert calls == [(len(a), len(b))] * len(all_configs)
+        assert got == [exact_maed([a], [b], cfg, hungarian_pairs).hex() for cfg in all_configs]
+
+
+def grid_image_sets(k):
+    coord = st.integers(0, k).map(lambda i: i / k)
+    points = st.lists(st.tuples(coord, coord), max_size=6)
+    return st.lists(st.tuples(points, points), min_size=1, max_size=5)
+
+
+@given(st.sampled_from([4, 16]).flatmap(grid_image_sets), st.booleans())
+@settings(max_examples=300)
+def test_maed_equals_the_math_hypot_oracle_on_tie_heavy_grids(images, squared):
+    # On k/4 and k/16 grids exact ties and repeated points are common. Every image
+    # must score as the solver scores the math.hypot matrix, and its matching must
+    # be optimal by the pure-Python Hungarian method.
+    cfg = MaedConfig(squared=squared)
+    gt_sets, pred_sets = [g for g, _ in images], [p for _, p in images]
+    assert maed(gt_sets, pred_sets, cfg).hex() == exact_maed(gt_sets, pred_sets, cfg, hungarian_pairs).hex()
+    plain = MaedConfig(squared=False)
+    for gt, pred in images:
+        assert maed([gt], [pred], plain) == pytest.approx(exact_maed([gt], [pred], plain), abs=1e-12)
 
 
 def test_maed_holds_one_distance_batch_at_a_time():
@@ -251,10 +328,10 @@ def test_maed_length_mismatch():
 
 
 def test_maed_length_mismatch_raises_before_any_distance(monkeypatch):
-    def no_distances(dx, dy):
+    def no_distances(xy):
         raise AssertionError("a distance was computed")
 
-    monkeypatch.setattr(assignment, "_hypot", no_distances)
+    monkeypatch.setattr(assignment, "_batch_distances", no_distances)
     sets = [[(0.1, 0.1)] * 10] * 3
     with pytest.raises(ValueError, match=r"^gt and prediction lists differ in length: 3 vs 2$"):
         maed(sets, sets[:2])

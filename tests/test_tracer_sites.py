@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import make_dataset
-from ircount import Grid, corpus, harness, preprocess
+from ircount import Grid, corpus, preprocess
 from ircount.corpus import Dataset, ImageRecord
 from ircount.cli import run
 
@@ -53,16 +53,17 @@ def test_traced_commands_fill_every_hook_counter(tmp_path):
     scene, out = tmp_path / "scene", tmp_path / "out"
     out.mkdir()
     gt = str(scene / "scene.json")
-    # The scene compared with itself is settled by column reduction, which never calls match_points; the
-    # scene's points plus one more make a non-square matrix, so match_points and hungarian run.
-    points = harness.synth_scene(3, 64, 64, seed=5).points
-    extra = ImageRecord("synth-5-0", 64, 64, points=np.vstack([points, [0.5, 0.5, 1.0]]))
-    corpus.save_manifest(Dataset("extra", (extra,)), tmp_path / "extra.json")
+    # The scene compared with itself settles without match_points. Two matchings of this pair of
+    # sets tie, so match_points refuses the first solve, and hungarian runs again on exact distances.
+    for name, points in (("tie_gt", [(0.0, 0.5), (0.125, 0.5)]), ("tie_pred", [(0.5, 0.5), (0.75, 0.5)])):
+        record = ImageRecord("tie", 64, 64, points=np.array([(x, y, 1.0) for x, y in points]))
+        corpus.save_manifest(Dataset(name, (record,)), tmp_path / f"{name}.json")
     commands = [
         ["synth", "--n", "3", "--seed", "5", "--out", str(scene)],
         ["convert", "--in", gt, "--to", "points", "--out", str(out / "points.json")],
         ["eval-locate", "--gt", gt, "--pred", str(out / "points.json"), "--out", str(out / "maed.json")],
-        ["eval-locate", "--gt", gt, "--pred", str(tmp_path / "extra.json"), "--out", str(out / "extra.json")],
+        ["eval-locate", "--gt", str(tmp_path / "tie_gt.json"), "--pred", str(tmp_path / "tie_pred.json"),
+         "--out", str(out / "tie.json")],
         ["tune-threshold", "--gt", gt, "--pred", gt, "--grid-step", "0.1", "--out", str(out / "curve.json")],
         ["locate-cam", "--map", str(scene / "map.cam"), "--count", "2", "--seed", "0", "--out", str(out / "cam.json")],
         ["split", "--manifest", str(tmp_path / "counts.json"), "--train-count", "4", "--seed", "1",
@@ -91,4 +92,6 @@ def test_traced_commands_fill_every_hook_counter(tmp_path):
     for name in ("assignment.match_points.calls", "assignment.hungarian.cells", "postprocess.nms.boxes_in",
                  "camloc.find_components.components", "gridio.read_grid.values", "corpus.load_manifest.records"):
         assert counters[name] > 0, name
+    # Only the tie reaches match_points, and its 2 x 2 matrix is solved twice.
+    assert (counters["assignment.match_points.calls"], counters["assignment.hungarian.cells"]) == (1, 8)
     assert 0.0 < summary["top_s"] <= wall
