@@ -202,25 +202,17 @@ def _check_unit(xy: np.ndarray) -> None:
 _BATCH_CELLS = 1 << 14  # distances computed together; a batch's temporaries stay in cache
 
 
-def distance_matrices(
-    gt_sets: Sequence[Sequence[Point]], pred_sets: Sequence[Sequence[Point]]
-) -> Iterator[np.ndarray]:
-    """Each image's ``(len(gt), len(pred))`` Euclidean distances, in order, each
-    within ε = 2⁻⁵⁰ of ``math.hypot(gx - px, gy - py)`` (``distance_batches``).
-
-    Runs of consecutive images are computed and their points checked together,
-    about ``_BATCH_CELLS`` cells at a time. A bad point raises the error that
-    ``match_points`` on its image alone raises: predictions are checked before
-    ground truth, and the first bad image in order is named.
-    """
-    return itertools.chain.from_iterable(batch for _, _, batch in distance_batches(gt_sets, pred_sets))
-
-
 def distance_batches(
     gt_sets: Sequence[Sequence[Point]], pred_sets: Sequence[Sequence[Point]]
-) -> Iterator[tuple[np.ndarray, np.ndarray, list[np.ndarray]]]:
-    """``distance_matrices`` one run of images at a time, with the run's gt and
-    pred (x, y) rows, each set's after the one before.
+) -> Iterator[tuple[list[np.ndarray], dict[int, list[float]]]]:
+    """Each image's ``(len(gt), len(pred))`` Euclidean distances, one run of about
+    ``_BATCH_CELLS`` cells at a time, with the pair distances, in gt order, of each image
+    of the run that settles without the solver, keyed by its position in the run.
+
+    An image settles when each point of its smaller set has a nearest point in the
+    other set more than ``_TAU`` nearer than its second nearest and nearest to no other
+    point of the set. Another matching moves points off their nearest at above ``_TAU``
+    each, so ``hungarian`` pairs them so on ``math.hypot`` cells too.
 
     An entry is ``sqrt(dx*dx + dy*dy)`` for the rounded differences that
     ``math.hypot`` gets too. With u = 2⁻⁵³, each square is off by u relative
@@ -228,6 +220,10 @@ def distance_batches(
     relative error and adds u. So an entry is within 3u·h + 2⁻⁵³⁶ < 2.2·2⁻⁵²
     of the length h ≤ √2. ``math.hypot`` is within an ulp of h (CPython's is
     correctly rounded but in rare cases), so the two differ by ε < 2⁻⁵⁰.
+
+    A bad point raises the error that ``match_points`` on its image alone
+    raises: predictions are checked before ground truth, and the first bad
+    image in order is named.
     """
     xy: list[np.ndarray] = []  # the batch's (x, y) columns, pred and gt alternating
     cells = 0
@@ -250,23 +246,45 @@ def distance_batches(
         yield _batch_distances(xy)
 
 
-def _batch_distances(xy: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The gt rows, pred rows and distance matrices of a batch of (x, y) columns, pred and gt alternating."""
-    p, g = np.concatenate(xy[0::2]), np.concatenate(xy[1::2])
-    if not (_in_unit(p) and _in_unit(g)):
-        for rows in xy:
-            _check_unit(rows)
-    m = np.array([len(rows) for rows in xy[0::2]])
-    n = np.array([len(rows) for rows in xy[1::2]])
-    # Cells run row-major within each image: every gt row meets the m
-    # predictions of its own image, found at this offset from the cell index.
-    m_row = np.repeat(m, n)
-    shift = np.repeat(np.cumsum(m) - m, n) - (np.cumsum(m_row) - m_row)
-    pi = np.arange(m_row.sum()) + np.repeat(shift, m_row)
-    dx, dy = (np.repeat(g[:, k], m_row) - p[:, k].take(pi) for k in (0, 1))
-    dist = np.sqrt(dx * dx + dy * dy)
-    ends = np.cumsum(n * m).tolist()
-    return g, p, [dist[end - r * c : end].reshape(r, c) for end, r, c in zip(ends, n.tolist(), m.tolist())]
+def _batch_distances(xy: list[np.ndarray]) -> tuple[list[np.ndarray], dict[int, list[float]]]:
+    """The distance matrices and settled images (``distance_batches``) of a batch of
+    (x, y) columns, pred and gt alternating."""
+    images = list(zip(xy[1::2], xy[0::2]))  # (gt, pred)
+    n, m = (np.array([len(rows) for rows in sets]) for sets in zip(*images))
+    wide = n <= m  # an image's rows are its gt points, else its pred points
+    r, c = (np.concatenate(sets) for sets in zip(*(gp if w else gp[::-1] for gp, w in zip(images, wide.tolist()))))
+    if not (_in_unit(r) and _in_unit(c)):
+        for points in xy:
+            _check_unit(points)
+    rows, width = np.minimum(n, m), np.maximum(n, m)
+    # Cells run row-major within each image: every row meets the width
+    # points of its image's other set, found at this offset from the cell index.
+    length = np.repeat(width, rows)
+    start = np.cumsum(length) - length
+    ci = np.arange(length.sum()) + np.repeat(np.repeat(np.cumsum(width) - width, rows) - start, length)
+    dx, dy = (np.repeat(r[:, k], length) - c[:, k].take(ci) for k in (0, 1))
+    dist = np.sqrt(dx * dx + dy * dy)  # (p - g)² is (g - p)², so a tall image's cells are its transpose's
+    ends = np.cumsum(rows * width).tolist()
+    blocks = (dist[end - a * b : end].reshape(a, b) for end, a, b in zip(ends, rows.tolist(), width.tolist()))
+    matrices = [block if w else block.T for block, w in zip(blocks, wide.tolist())]
+    # Each row's nearest cell is its first minimum; the second nearest is the least of the rest.
+    nearest = np.minimum.reduceat(dist, start)
+    hits = np.flatnonzero(dist == np.repeat(nearest, length))
+    first = hits[np.searchsorted(hits, start)]
+    dist[first] = np.inf
+    second = np.minimum.reduceat(dist, start)
+    dist[first] = nearest
+    image, col = np.repeat(np.arange(len(n)), rows), first - start
+    settled = np.ones(len(n), dtype=bool)
+    settled[image[second - nearest <= _TAU]] = False
+    taken = np.sort(image * width.max() + col)
+    settled[taken[1:][taken[1:] == taken[:-1]] // width.max()] = False
+    gt_order = np.where(wide[image], np.arange(len(image)), col)  # a tall image's gt points are its columns
+    keep = np.flatnonzero(settled[image])
+    keep = keep[np.lexsort((gt_order[keep], image[keep]))]
+    dx, dy = (r[keep, k] - c[ci[first[keep]], k] for k in (0, 1))
+    pair_distances = iter(map(math.hypot, dx.tolist(), dy.tolist()))  # math.hypot is sign-symmetric
+    return matrices, {k: list(itertools.islice(pair_distances, int(rows[k]))) for k in np.flatnonzero(settled).tolist()}
 
 
 def matching_objective(result: MatchResult, penalty: float) -> float:
@@ -292,7 +310,9 @@ def match_points(
     ``ImageRecord.points``, or a sequence of such rows; a set of any other
     shape is a ValueError. ``distances`` is the sets' ``(len(gt),
     len(pred))`` matrix when the caller already has it from
-    ``distance_matrices``; by default it is computed here, the same way.
+    ``distance_batches``, which yields each batch's matrices with the pair
+    distances of the images that settle without the solver; by default it
+    is computed here, the same way.
 
     The distance matrix is padded to a max(n, m) square with its largest
     entry and solved. Every perfect assignment of that square uses exactly
@@ -301,12 +321,10 @@ def match_points(
     shows that the ``math.hypot`` matrix gives the same pairs, that matrix is
     built and solved. A pair's distance is ``math.hypot(gx - px, gy - py)``.
     """
-    if distances is None:
-        g, p, (dist,) = next(distance_batches([gt], [pred]))
-    else:
-        g, p, dist = _xy(gt), _xy(pred), distances
-        if np.shape(dist) != (len(g), len(p)):
-            raise ValueError(f"distances must have shape {(len(g), len(p))}, got {np.shape(dist)}")
+    dist = next(distance_batches([gt], [pred]))[0][0] if distances is None else distances
+    g, p = _xy(gt), _xy(pred)
+    if np.shape(dist) != (len(g), len(p)):
+        raise ValueError(f"distances must have shape {(len(g), len(p))}, got {np.shape(dist)}")
     n, m = len(g), len(p)
     size = max(n, m)
     grid = np.full((size, size), dist.max(initial=0.0))

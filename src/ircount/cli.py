@@ -346,6 +346,9 @@ def _cmd_break_even(args: argparse.Namespace) -> None:
 
 
 def _cmd_bench(args: argparse.Namespace) -> None:
+    for token in args.inputs:  # checked before the predictor starts
+        if "\n" in token or "\r" in token:
+            raise ValueError(f"--inputs token {token!r} holds a line break; each token is sent as one line")
     with harness.ProcessPredictor(args.cmd) as predictor:
         stats = harness.bench_fps(predictor, args.warmup, args.iters, args.inputs)
     payload = {

@@ -175,8 +175,9 @@ class ProcessPredictor:
     """Line-protocol wrapper around an external predictor process.
 
     One input token is written per call and one reply line is read back;
-    the round trip is what gets timed. The child is spawned once and
-    reused across calls.
+    the round trip is what gets timed. A token must hold no line break
+    (``\\n`` or ``\\r``), or the child reads it as several inputs. The child
+    is spawned once and reused across calls.
     """
 
     def __init__(self, cmd: str | Sequence[str]):

@@ -7,15 +7,12 @@ fixed penalty for every unmatched point.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from ircount.assignment import _TAU, Point, distance_batches, match_points
+from ircount.assignment import Point, distance_batches, match_points
 
 
 @dataclass(frozen=True)
@@ -137,8 +134,7 @@ def maed(
         raise ValueError("maed requires at least one image")
     total = 0.0
     images = zip(gt_sets, pred_sets)
-    for g, p, batch in distance_batches(gt_sets, pred_sets):
-        settled = dict(_settled_pairs(g, p, batch))
+    for batch, settled in distance_batches(gt_sets, pred_sets):
         for k, (dist, (gt, pred)) in enumerate(zip(batch, images)):
             n, m = dist.shape
             pairs = settled[k] if k in settled else [d for _, _, d in match_points(gt, pred, distances=dist).pairs]
@@ -152,42 +148,6 @@ def maed(
     if not math.isfinite(score):
         raise ValueError(f"localization score overflows float64 with penalty {cfg.penalty}")
     return score
-
-
-def _settled_pairs(g: np.ndarray, p: np.ndarray, batch: list[np.ndarray]) -> Iterator[tuple[int, list[float]]]:
-    """Position and pair distances, in gt order, of each image in ``batch`` (``g`` and ``p``
-    its (x, y) rows) that settles without the solver: each row, a point of its smaller set,
-    has a nearest column more than ``_TAU`` nearer than its second nearest and nearest to no
-    other row. Another matching moves rows off their nearest at above ``_TAU`` each, so
-    ``hungarian`` pairs them so on ``math.hypot`` cells too (``assignment._TAU``).
-    """
-    n, m = np.array([d.shape for d in batch]).T
-    wide = n <= m  # rows are gt points, else pred
-    rows, width = np.minimum(n, m), np.maximum(n, m)
-    cells = np.concatenate([(d if w else d.T).ravel() for d, w in zip(batch, wide.tolist())])
-    length = np.repeat(width, rows)
-    start = np.cumsum(length) - length
-    image = np.repeat(np.arange(len(batch)), rows)
-    nearest = np.minimum.reduceat(cells, start)
-    hits = np.flatnonzero(cells == np.repeat(nearest, length))
-    first = hits[np.searchsorted(hits, start)]
-    cells[first] = np.inf
-    col = first - start
-    settled = np.ones(len(batch), dtype=bool)
-    settled[image[np.minimum.reduceat(cells, start) - nearest <= _TAU]] = False
-    taken = np.sort(image * width.max() + col)
-    settled[taken[1:][taken[1:] == taken[:-1]] // width.max()] = False
-    if not settled.any():
-        return
-    row = np.arange(len(image)) - np.repeat(np.cumsum(rows) - rows, rows)
-    gi = np.where(wide[image], row, col) + np.repeat(np.cumsum(n) - n, rows)
-    pi = np.where(wide[image], col, row) + np.repeat(np.cumsum(m) - m, rows)
-    keep = np.flatnonzero(settled[image])
-    keep = keep[np.lexsort((gi[keep], image[keep]))]  # gt order within each image
-    dx, dy = (g[gi[keep], k] - p[pi[keep], k] for k in (0, 1))
-    pair_distances = iter(map(math.hypot, dx.tolist(), dy.tolist()))
-    for k in np.flatnonzero(settled).tolist():
-        yield k, list(itertools.islice(pair_distances, int(rows[k])))
 
 
 def round_half_away(value: float) -> int:
@@ -234,15 +194,20 @@ def report_to_dict(report: MetricsReport, model: str | None = None) -> dict:
 
 
 def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:
-    """Render a header and rows of string cells as a markdown or CSV table."""
+    """Render a header and rows of string cells as a markdown or CSV table. A markdown cell
+    escapes ``|`` as ``\\|``; a CSV cell holding ``,``, ``"`` or a line break is quoted (RFC 4180)."""
     if fmt == "markdown":
-        lines = ["| " + " | ".join(header) + " |", "|" + "|".join(["---"] * len(header)) + "|"]
-        lines.extend("| " + " | ".join(row) + " |" for row in rows)
+        lines = ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |" for row in (header, *rows)]
+        lines.insert(1, "|" + "|".join(["---"] * len(header)) + "|")
     elif fmt == "csv":
-        lines = [",".join(row) for row in (header, *rows)]
+        lines = [",".join(map(_csv_cell, row)) for row in (header, *rows)]
     else:
         raise ValueError(f"unknown table format {fmt!r}")
     return "\n".join(lines)
+
+
+def _csv_cell(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\n\r') else cell
 
 
 def render_count_table(rows: Sequence[tuple[str, MetricsReport]], fmt: str = "markdown") -> str:

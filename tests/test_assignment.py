@@ -14,7 +14,7 @@ from ircount.assignment import (
     CostMatrix,
     MatchResult,
     column_reduction,
-    distance_matrices,
+    distance_batches,
     hungarian,
     match_points,
     matching_objective,
@@ -277,9 +277,14 @@ def test_match_points_names_the_first_unnormalized_point():
         match_points([(0.1, 0.1)], [(2.0, 0.2), (math.nan, 0.0)])
 
 
+def one_matrix(gt, pred):
+    (dist,), _ = next(distance_batches([gt], [pred]))
+    return dist
+
+
 def test_match_points_checks_the_shape_of_given_distances():
     gt, pred = [(0.1, 0.1), (0.5, 0.5)], [(0.2, 0.2)]
-    dist = next(distance_matrices([gt], [pred]))
+    dist = one_matrix(gt, pred)
     assert dist.shape == (2, 1)
     assert match_points(gt, pred, distances=dist) == match_points(gt, pred)
     with pytest.raises(ValueError, match=r"^distances must have shape \(2, 1\), got \(1, 2\)$"):
@@ -332,7 +337,11 @@ def within_epsilon_of_hypot(gt, pred, dist):
 @example([(0.15, 0.0)], [(0.0, 0.36)])
 @example([(1e-300, 5e-324)], [(0.0, 0.0)])
 def test_distances_are_within_epsilon_of_math_hypot(gt, pred):
-    within_epsilon_of_hypot(gt, pred, next(distance_matrices([gt], [pred])))
+    within_epsilon_of_hypot(gt, pred, one_matrix(gt, pred))
+
+
+def all_matrices(gt_sets, pred_sets):
+    return [d for batch, _ in distance_batches(gt_sets, pred_sets) for d in batch]
 
 
 def test_distance_matrices_equal_one_image_at_a_time_across_batches():
@@ -340,12 +349,15 @@ def test_distance_matrices_equal_one_image_at_a_time_across_batches():
     sizes = [(0, 0), (3, 0), (0, 4), (150, 140), (1, 1), *[(int(a), int(b)) for a, b in rng.integers(0, 30, (120, 2))]]
     gt_sets = [rng.random((n, 3)) for n, _ in sizes]
     pred_sets = [rng.random((m, 2)) for _, m in sizes]
-    got = list(distance_matrices(gt_sets, pred_sets))
+    got = all_matrices(gt_sets, pred_sets)
     assert sum(n * m for n, m in sizes) > 2 * assignment._BATCH_CELLS
     assert [d.shape for d in got] == sizes
     for g, p, d in zip(gt_sets, pred_sets, got):
         within_epsilon_of_hypot(g[:, :2].tolist(), p.tolist(), d)
-        assert d.tobytes() == next(distance_matrices([g], [p])).tobytes()
+        assert d.tobytes() == one_matrix(g, p).tobytes()
+    # Each image's cells are laid out with its smaller set as the rows, so swapping the sets transposes them exactly.
+    for d, swapped in zip(got, all_matrices(pred_sets, gt_sets)):
+        assert swapped.tobytes() == d.T.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, formats."""
 
+import csv
 import errno
 import hashlib
 import json
@@ -53,6 +54,18 @@ def test_eval_count_markdown_and_per_class(tmp_path, capsys):
     assert out.splitlines()[0] == "| Model | Acc↑ | MSE↓ | MAE↓ |"
     assert "| stub | 66.67 % |" in out
     assert "| Count | Occurrences | Acc↑ |" in out
+
+
+def test_eval_count_table_keeps_a_label_with_separators_in_one_cell(tmp_path, capsys):
+    gt = write_counts_manifest(tmp_path / "gt.json", "gt", [1, 1, 2])
+    pred = write_counts_manifest(tmp_path / "pred.json", "pred", [1, 0, 2])
+    base = ["eval-count", "--gt", str(gt), "--pred", str(pred)]
+    assert run([*base, "--format", "csv", "--label", 'yolo, v8 "tiny"\nb']) == 0
+    header, row = csv.reader(capsys.readouterr().out.splitlines(keepends=True))
+    assert header == ["Model", "Acc↑", "MSE↓", "MAE↓"]
+    assert row == ['yolo, v8 "tiny"\nb', "66.67 %", "0.333", "0.333"]
+    assert run([*base, "--format", "markdown", "--label", "a|b"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "| a\\|b | 66.67 % | 0.333 | 0.333 |"
 
 
 def test_eval_count_missing_required_flag_is_usage_error(tmp_path, capsys):
@@ -800,6 +813,15 @@ def test_bench_cli_empty_command_is_usage_error(capsys, monkeypatch, cmd):
     assert run(["bench", "--cmd", cmd, "--warmup", "0", "--iters", "1"]) == 1
     assert f"error: predictor command is empty: {cmd!r}" in capsys.readouterr().err
     assert started == []
+
+
+@pytest.mark.parametrize("token", ["a\nb", "c\r", "\n"])
+def test_bench_cli_rejects_an_input_token_with_a_line_break_before_starting(capsys, tmp_path, token):
+    # The command does not exist: reporting the token and not ENOENT shows that no child was started.
+    missing = str(tmp_path / "no-such-predictor")
+    assert run(["bench", "--cmd", missing, "--warmup", "0", "--iters", "1", "--inputs", "x", token]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --inputs token {token!r} holds a line break; each token is sent as one line\n"
 
 
 def test_run_builds_its_parser_once(monkeypatch, capsys):

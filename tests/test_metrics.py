@@ -269,6 +269,8 @@ def test_images_of_every_shape_settle_without_the_solver(gt, pred):
         got = [maed([gt], [pred], cfg).hex() for cfg in all_configs]
     assert calls == []
     assert got == [exact_maed([gt], [pred], cfg).hex() for cfg in all_configs]
+    _, settled = next(assignment.distance_batches([gt], [pred]))
+    assert settled == {0: [d for _, _, d in match_points(gt, pred).pairs]}  # in gt order
 
 
 @pytest.mark.parametrize(
