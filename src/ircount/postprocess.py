@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class ThresholdCurve:
         return self._best[1]
 
 
-_NMS_BLOCK = 512  # rows of the pairwise overlap matrix built at once
+_NMS_BLOCK = 512  # rows of pairwise overlaps built at once, from one image or several
 
 
 def _corners(b: BoundingBox) -> tuple[float, float, float, float]:
@@ -94,9 +94,10 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def _box_rows(boxes: np.ndarray) -> np.ndarray:
-    if np.ndim(boxes) != 2 or np.shape(boxes)[1] != 5:
-        raise ValueError(f"boxes must be (k, 5) rows of (cx, cy, w, h, score), got shape {np.shape(boxes)}")
+def _box_rows(boxes: np.ndarray, labelled: bool = False) -> np.ndarray:
+    if np.ndim(boxes) != 2 or np.shape(boxes)[1] not in ((5, 6) if labelled else (5,)):
+        labels = " or (k, 6) rows with an image label" if labelled else ""
+        raise ValueError(f"boxes must be (k, 5) rows of (cx, cy, w, h, score){labels}, got shape {np.shape(boxes)}")
     return np.asarray(boxes, dtype=np.float64)
 
 
@@ -108,50 +109,88 @@ def confidence_filter(boxes: np.ndarray, conf: float) -> np.ndarray:
     return boxes[boxes[:, 4] >= conf]
 
 
+def _tiles(sizes: np.ndarray) -> Iterator[tuple[int, int, int, int, int]]:
+    """(first box, image size, images, first row, stop row) of each tile of
+    overlaps, for boxes visited image by image in ascending size: images of
+    one size with at most ``_NMS_BLOCK`` rows in all, or rows of one image."""
+    start = 0
+    for size, count in zip(*(v.tolist() for v in np.unique(sizes, return_counts=True))):
+        per = max(1, _NMS_BLOCK // size)
+        for image in range(0, count, per):
+            for row in range(0, size, _NMS_BLOCK):
+                yield start + image * size, size, min(per, count - image), row, min(row + _NMS_BLOCK, size)
+        start += size * count
+
+
 def nms(boxes: np.ndarray, iou_thresh: float) -> np.ndarray:
     """Greedy non-maximum suppression over ``(k, 5)`` rows of
-    (cx, cy, w, h, score), such as ``ImageRecord.boxes``.
+    (cx, cy, w, h, score), such as ``ImageRecord.boxes``, or over ``(k, 6)``
+    rows whose last column labels each box's image.
 
-    Boxes are visited by descending score (ties by original index); a box
-    is kept unless it overlaps an already-kept box with IoU strictly above
-    the threshold. The kept rows come back in their original order.
+    Each image is suppressed on its own. Its boxes are visited by
+    descending score (ties by original index), and a box is kept unless it
+    overlaps an already-kept box with IoU strictly above the threshold.
+    The kept rows, labels included, come back in their original order.
 
-    Overlaps are computed on arrays with the same corner and union
-    arithmetic as :func:`iou`, so every IoU is bit-identical to it. At
-    most ``_NMS_BLOCK`` rows of the pairwise matrix exist at a time.
+    Overlaps are computed with the same corner and union arithmetic as
+    :func:`iou`, so every IoU is bit-identical to it. At most
+    ``_NMS_BLOCK`` rows of pairwise overlaps exist at a time, from several
+    images of one size or from one image.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"IoU threshold must be in [0, 1], got {iou_thresh}")
-    arr = _box_rows(boxes)
-    order = np.argsort(-arr[:, 4], kind="stable")
-    # cx, cy, w, h as contiguous rows, boxes in visiting order: a block of
-    # boxes is then a slice, and corners and areas use iou()'s arithmetic.
-    cols = np.ascontiguousarray(arr[order, :4].T)
-    half = cols[2:] / 2
-    lo, hi = cols[:2] - half, cols[:2] + half
-    side = hi - lo
-    area = side[0] * side[1]
+    arr = _box_rows(boxes, labelled=True)
+    labels = arr[:, 5] if arr.shape[1] == 6 else np.zeros(len(arr))
+    _, image, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    # Images of one size are visited one after another, so n of them are
+    # an (n, size) tile of boxes.
+    order = np.lexsort((-arr[:, 4], image, sizes[image]))
+    # Corners as contiguous rows x and y, boxes in visiting order, and
+    # areas, with iou()'s arithmetic. lo holds the centres until half is
+    # taken off: building them in place keeps the peak memory of a large
+    # batch down, and only lo, hi and area stay alive below.
+    lo, half = np.take(arr.T[:2], order, axis=1), np.take(arr.T[2:4], order, axis=1)
+    half /= 2
+    hi = lo + half
+    lo -= half
+    area = np.multiply(*(hi - lo))
+    del image, half
     removed = np.zeros(len(arr), dtype=bool)
-    for start in range(0, len(arr), _NMS_BLOCK):
-        rows = slice(start, start + _NMS_BLOCK)
-        # Clamping a non-positive extent to 0 gives inter 0 and so IoU 0,
-        # which is never above a threshold in [0, 1], just as iou() says.
-        ext = np.minimum(hi[:, rows, None], hi[:, None, :])
-        ext -= np.maximum(lo[:, rows, None], lo[:, None, :])
-        np.maximum(ext, 0.0, out=ext)
-        inter = ext[0] * ext[1]
-        union = area[rows, None] + area
+    for start, size, n, r0, r1 in _tiles(sizes):
+        # Only pairs whose x extents overlap can score: any other pair has
+        # inter 0 and so IoU 0, which is never above a threshold in [0, 1],
+        # just as iou() says.
+        x_lo, x_hi = (v[0, start:start + n * size].reshape(n, size) for v in (lo, hi))
+        meet = x_hi[:, r0:r1, None] > x_lo[:, None, :]
+        meet &= x_lo[:, r0:r1, None] < x_hi[:, None, :]
+        meet &= np.arange(size) > np.arange(r0, r1)[:, None]
+        # Cell (image, row, col) of the tile stands for the boxes visited
+        # at start + image * size + r0 + row and start + image * size + col.
+        i, j = np.divmod(np.flatnonzero(meet), size)
+        j += start + i // (r1 - r0) * size
+        i += start + r0
+        inter = np.ones(len(i))
+        for c in (0, 1):  # one coordinate at a time keeps the gathers small
+            ext = np.minimum(hi[c, i], hi[c, j])
+            ext -= np.maximum(lo[c, i], lo[c, j])
+            inter *= np.maximum(ext, 0.0, out=ext)
+        union = area[i] + area[j]
         union -= inter
         with np.errstate(divide="ignore", invalid="ignore"):
             over = np.divide(inter, union, out=union) > iou_thresh
-        np.fill_diagonal(over[:, start:], False)
-        # A box that overlaps no other is kept and removes nothing, so only
-        # rows with an overlap take part in the greedy pass.
-        for r in np.flatnonzero(over.any(axis=1)).tolist():
-            if not removed[start + r]:
-                removed |= over[r]
-    kept = np.sort(order[~removed])
-    return arr[kept]
+        # Greedy pass in rounds over the overlaps (i visited before j) of
+        # undecided boxes: a box with no such earlier neighbour is kept, and
+        # every box it overlaps is removed. Earlier rows of a large image
+        # may have removed some of these boxes already.
+        over &= ~removed[i]
+        i, j = i[over], j[over]
+        while len(i):
+            blocked = np.zeros(len(arr), dtype=bool)
+            blocked[j] = True
+            removed[j[~blocked[i]]] = True
+            live = blocked[i] & ~removed[i]
+            i, j = i[live], j[live]
+    return arr[np.sort(order[~removed])]
 
 
 def default_grid(step: float = 0.001) -> list[float]:
@@ -179,10 +218,11 @@ def tune_threshold(
 ) -> ThresholdCurve:
     """Sweep confidence thresholds and report count accuracy at each.
 
-    NMS runs once per record at a fixed IoU threshold; the sweep then
-    counts surviving boxes scoring at or above each grid value. The
-    returned best threshold breaks ties toward the smallest grid value.
-    The grid must be non-empty and lie in [0, 1]; any order will do.
+    One NMS call at a fixed IoU threshold suppresses every record's boxes,
+    each record its own image; the sweep then counts surviving boxes
+    scoring at or above each grid value. The returned best threshold
+    breaks ties toward the smallest grid value. The grid must be non-empty
+    and lie in [0, 1]; any order will do.
     """
     grid = sorted(float(t) for t in grid)
 
@@ -192,17 +232,22 @@ def tune_threshold(
     pairs = aligned_records(gt, pred)
     if not pairs:
         raise ValueError("tune_threshold requires at least one record")
-    los: list[float] = []
-    his: list[float] = []
-    for gt_rec, pred_rec in pairs:
-        if pred_rec.boxes is None:
-            raise ValueError(f"prediction record {gt_rec.id!r} carries no boxes tier")
-        target = annotation_to_count(gt_rec).count
-        scores = sorted(nms(pred_rec.boxes, nms_iou)[:, 4].tolist(), reverse=True)
-        if target > len(scores):
-            continue
-        his.append(scores[target - 1] if target > 0 else np.inf)
-        los.append(scores[target] if target < len(scores) else -np.inf)
+    missing = next((gt_rec.id for gt_rec, pred_rec in pairs if pred_rec.boxes is None), None)
+    if missing is not None:
+        raise ValueError(f"prediction record {missing!r} carries no boxes tier")
+    boxes = [pred_rec.boxes for _, pred_rec in pairs]
+    labels = np.repeat(np.arange(len(pairs), dtype=np.float64), [len(rows) for rows in boxes])
+    kept = nms(np.column_stack((np.concatenate(boxes), labels)), nms_iou)
+    # Each record's kept scores, descending, are one run of ``scores``; the
+    # -inf after them keeps every gathered index in range.
+    order = np.lexsort((-kept[:, 4], kept[:, 5]))
+    scores = np.append(kept[order, 4], -np.inf)
+    counts = np.bincount(kept[:, 5].astype(np.intp), minlength=len(pairs))
+    targets = np.array([annotation_to_count(gt_rec).count for gt_rec, _ in pairs])
+    reachable = targets <= counts
+    target, start, count = targets[reachable], (np.cumsum(counts) - counts)[reachable], counts[reachable]
+    his = np.where(target > 0, scores[start + target - 1], np.inf)
+    los = np.where(target < count, scores[start + target], -np.inf)
     grid_arr = np.asarray(grid, dtype=np.float64)
     first = np.searchsorted(grid_arr, los, side="right")
     stop = np.searchsorted(grid_arr, his, side="right")

@@ -1,6 +1,7 @@
 """IoU, greedy NMS vs a naive oracle, and threshold tuning."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,90 @@ def test_nms_matches_naive_reference_across_row_blocks(monkeypatch, block):
         assert_nms_matches_naive(boxes, rng.choice([0.0, 0.5, rng.random()]))
 
 
+def labelled(rows, label):
+    return np.column_stack((rows, np.full(len(rows), label)))
+
+
+def kept_positions(rows, kept):
+    """Positions in ``rows`` of the ``kept`` rows, in order. Of exact
+    duplicates NMS keeps the earliest, so the earliest equal row is taken."""
+    rest = iter(range(len(rows)))
+    return [next(p for p in rest if rows[p].tobytes() == row.tobytes()) for row in kept]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 20), st.integers(0, 2**32 - 1)), max_size=6),
+    st.sampled_from([0.0, 1.0, 1 / 3, 0.5]),
+    st.sampled_from([1, 7, postprocess._NMS_BLOCK]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=120, deadline=None)
+def test_labelled_nms_equals_per_image_nms(images, thresh, block, rng):
+    # Distinct labels in no particular order; the rows of the images are
+    # interleaved. Images may be empty or hold one box, and mixed_boxes
+    # plants exact duplicates and tied scores.
+    labels = rng.sample([-2.0, 0.0, 0.5, 3.0, 7.0, 1e9], len(images))
+    per_image = [labelled(box_rows(mixed_boxes(random.Random(seed), k)), label)
+                 for (k, seed), label in zip(images, labels)]
+    rows = np.concatenate([np.empty((0, 6)), *per_image])
+    rows = rows[rng.sample(range(len(rows)), len(rows))]
+    keep = []
+    for label in labels:
+        at = np.flatnonzero(rows[:, 5] == label)
+        keep += at[kept_positions(rows[at, :5], nms(rows[at, :5], thresh))].tolist()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(postprocess, "_NMS_BLOCK", block)
+        got = nms(rows, thresh)
+    assert got.shape == (len(keep), 6)
+    assert got.tobytes() == rows[sorted(keep)].tobytes()
+
+
+def suppression_chain(k, descending=True):
+    """``k`` boxes in a row, each overlapping only its neighbours (IoU 1/9)."""
+    return [BoundingBox(0.1 + i * 0.004, 0.5, 0.005, 0.1, 0.9 - (i if descending else k - i) / 1000) for i in range(k)]
+
+
+@pytest.mark.parametrize("block", [7, 512])
+@pytest.mark.parametrize("descending", [True, False])
+def test_nms_settles_a_suppression_chain_one_link_per_round(monkeypatch, block, descending):
+    # Each round keeps only the best undecided box of the chain and removes
+    # its neighbour, so 200 boxes take 100 rounds; with 7-row blocks the
+    # chain also runs across 29 of them.
+    monkeypatch.setattr(postprocess, "_NMS_BLOCK", block)
+    boxes = suppression_chain(200, descending)
+    assert iou(boxes[0], boxes[1]) > 0.1 and iou(boxes[0], boxes[2]) == 0.0
+    want = naive_nms(boxes, 0.1)
+    assert want == list(range(0, 200, 2) if descending else range(1, 200, 2))
+    rows = box_rows(boxes)
+    assert nms(rows, 0.1).tolist() == rows[want].tolist()
+    two = np.concatenate((labelled(rows, 1.0), labelled(rows[::-1], 0.0)))
+    assert nms(two, 0.1).tolist() == two[want + [399 - i for i in want[::-1]]].tolist()
+
+
+def test_nms_on_one_large_image_builds_only_row_blocks(monkeypatch):
+    # The full pairwise matrix of 2,000 boxes takes 32 MB in float64; 64
+    # rows of it take 1 MB.
+    monkeypatch.setattr(postprocess, "_NMS_BLOCK", 64)
+    rows = box_rows(random_boxes(random.Random(2000), 2000))
+    nms(rows, 0.5)
+    tracemalloc.start()
+    try:
+        nms(rows, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 * 8 / 4
+
+
+def test_nms_takes_labelled_rows_and_confidence_filter_does_not():
+    rows = labelled(box_rows([make_box(score=0.9), make_box(score=0.8)]), 4.0)
+    assert nms(rows, 0.5).tolist() == rows[:1].tolist()
+    with pytest.raises(ValueError, match=r"\(k, 5\) rows .* or \(k, 6\) rows with an image label, got shape \(2, 7\)"):
+        nms(np.column_stack((rows, rows[:, :1])), 0.5)
+    with pytest.raises(ValueError, match=r"\(k, 5\) rows of \(cx, cy, w, h, score\), got shape \(2, 6\)"):
+        confidence_filter(rows, 0.5)
+
+
 def test_nms_edge_touching_boxes_do_not_overlap():
     left = BoundingBox(0.25, 0.5, 0.25, 0.25, 0.9)
     right = BoundingBox(0.5, 0.5, 0.25, 0.25, 0.8)
@@ -345,6 +430,27 @@ def test_tune_threshold_requires_boxes_tier():
     pred = Dataset("pred", (ImageRecord("a", 64, 64, count=CountLabel(0)),))
     with pytest.raises(ValueError, match="boxes"):
         tune_threshold(pred, gt, [0.5])
+
+
+def test_tune_threshold_names_the_first_record_without_boxes_in_gt_order():
+    gt = Dataset("gt", tuple(ImageRecord(i, 64, 64, count=CountLabel(1)) for i in "abc"))
+    pred = Dataset("pred", (
+        ImageRecord("c", 64, 64, count=CountLabel(1)),
+        ImageRecord("a", 64, 64, boxes=(make_box(),)),
+        ImageRecord("b", 64, 64, count=CountLabel(1)),
+    ))
+    with pytest.raises(ValueError, match=r"^prediction record 'b' carries no boxes tier$"):
+        tune_threshold(pred, gt, [0.5])
+
+
+def test_tune_threshold_suppresses_every_record_in_one_nms_call(monkeypatch):
+    calls = []
+    real = postprocess.nms
+    monkeypatch.setattr(postprocess, "nms", lambda boxes, t: calls.append(np.shape(boxes)) or real(boxes, t))
+    gt, pred = detector_fixture()
+    curve = tune_threshold(pred, gt, default_grid(0.001))
+    assert calls == [(3, 6)]
+    assert (curve.best_threshold, curve.best_accuracy) == (0.5, 1.0)
 
 
 def test_tune_threshold_applies_nms_before_sweep():
