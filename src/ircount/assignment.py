@@ -63,10 +63,10 @@ class MatchResult:
 def hungarian(costs: CostMatrix) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Minimum-cost perfect assignment on a square matrix.
 
-    Jonker–Volgenant: each column's dual starts at its minimum, and
-    ``column_reduction`` gives columns to rows holding them. Every row left
-    free is then assigned by a Dijkstra search for a shortest augmenting
-    path on the reduced costs, one row at a time in ascending order.
+    Jonker–Volgenant: each column's dual starts at its minimum, and column
+    reduction gives each column, last to first, to its first minimal row if
+    free. Each row left free then gets a Dijkstra search for a shortest
+    augmenting path on the reduced costs, one row at a time in ascending order.
 
     Ties resolve deterministically: a column's minimum is its first
     minimal row, and the search settles the lowest-index column among
@@ -81,21 +81,14 @@ def hungarian(costs: CostMatrix) -> tuple[list[tuple[int, int]], np.ndarray]:
         return [], np.zeros(0)
     c = costs.costs
     v = c.min(axis=0)
-    col4row, row4col = column_reduction(c)
+    col4row, row4col = [-1] * n, [-1] * n
+    for j, i in reversed(list(enumerate(c.argmin(axis=0).tolist()))):
+        if col4row[i] < 0:
+            col4row[i], row4col[j] = j, i
     # Row duals stay implicit: zero while free, c[i, j] - v[j] once matched to column j.
     for row in [i for i in range(n) if col4row[i] < 0]:
         _augment(c, v, col4row, row4col, row)
     return list(enumerate(col4row)), v
-
-
-def column_reduction(costs: np.ndarray) -> tuple[list[int], list[int]]:
-    """Each row's column and each column's row, or -1, after column reduction of a square matrix: from
-    the last column to the first, each goes to its first minimal row if free; with no -1 it is solved."""
-    col4row, row4col = [-1] * len(costs), [-1] * len(costs)
-    for j, i in reversed(list(enumerate(costs.argmin(axis=0).tolist()))):
-        if col4row[i] < 0:
-            col4row[i], row4col[j] = j, i
-    return col4row, row4col
 
 
 def _augment(c: np.ndarray, v: np.ndarray, col4row: list[int], row4col: list[int], row: int) -> None:
@@ -212,7 +205,8 @@ def distance_batches(
     An image settles when each point of its smaller set has a nearest point in the
     other set more than ``_TAU`` nearer than its second nearest and nearest to no other
     point of the set. Another matching moves points off their nearest at above ``_TAU``
-    each, so ``hungarian`` pairs them so on ``math.hypot`` cells too.
+    each, so ``hungarian`` pairs them so on ``math.hypot`` cells too. The rule only
+    reads the cells it yields.
 
     An entry is ``sqrt(dx*dx + dy*dy)`` for the rounded differences that
     ``math.hypot`` gets too. With u = 2⁻⁵³, each square is off by u relative
@@ -267,16 +261,13 @@ def _batch_distances(xy: list[np.ndarray]) -> tuple[list[np.ndarray], dict[int, 
     ends = np.cumsum(rows * width).tolist()
     blocks = (dist[end - a * b : end].reshape(a, b) for end, a, b in zip(ends, rows.tolist(), width.tolist()))
     matrices = [block if w else block.T for block, w in zip(blocks, wide.tolist())]
-    # Each row's nearest cell is its first minimum; the second nearest is the least of the rest.
-    nearest = np.minimum.reduceat(dist, start)
-    hits = np.flatnonzero(dist == np.repeat(nearest, length))
+    # A row is clear when one cell alone, its nearest, is within _TAU of its minimum. Cells are only read.
+    close = dist - np.repeat(np.minimum.reduceat(dist, start), length) <= _TAU
+    hits = np.flatnonzero(close)
     first = hits[np.searchsorted(hits, start)]
-    dist[first] = np.inf
-    second = np.minimum.reduceat(dist, start)
-    dist[first] = nearest
     image, col = np.repeat(np.arange(len(n)), rows), first - start
     settled = np.ones(len(n), dtype=bool)
-    settled[image[second - nearest <= _TAU]] = False
+    settled[image[np.add.reduceat(close, start, dtype=np.intp) > 1]] = False
     taken = np.sort(image * width.max() + col)
     settled[taken[1:][taken[1:] == taken[:-1]] // width.max()] = False
     gt_order = np.where(wide[image], np.arange(len(image)), col)  # a tall image's gt points are its columns

@@ -144,6 +144,11 @@ def _naming(*paths: str) -> Iterator[None]:
         raise ValueError(f"{', '.join(paths)}: {exc}") from None
 
 
+def _distinct_outputs(option: str, path: str, other_option: str, other: str | None) -> None:
+    if other is not None and Path(path).resolve() == Path(other).resolve():
+        raise ValueError(f"{option} and {other_option} name the same file: {path!r}")
+
+
 def _load_json(path: str) -> object:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -244,6 +249,7 @@ def _cmd_eval_locate(args: argparse.Namespace) -> None:
 def _cmd_tune_threshold(args: argparse.Namespace) -> None:
     if not 0.0 <= args.nms <= 1.0:  # checked before the files are named below
         raise ValueError(f"--nms must be in [0, 1], got {args.nms}")
+    _distinct_outputs("--out", args.out, "--svg", args.svg)
     gt = corpus.load_manifest(args.gt, args.max_count)
     pred = corpus.load_manifest(args.pred, args.max_count)
     grid = postprocess.default_grid(args.grid_step)
@@ -302,6 +308,7 @@ def _cmd_convert(args: argparse.Namespace) -> None:
 def _cmd_split(args: argparse.Namespace) -> None:
     if args.train_count < 0:  # checked before the file is named below
         raise ValueError(f"--train-count must be >= 0, got {args.train_count}")
+    _distinct_outputs("--out-train", args.out_train, "--out-test", args.out_test)
     ds = corpus.load_manifest(args.manifest, args.max_count)
     seed = _resolve_seed(args.seed)
     with _naming(args.manifest):

@@ -200,6 +200,17 @@ def test_split_writes_disjoint_manifests(tmp_path, capsys):
     assert {r.id for r in train}.isdisjoint({r.id for r in test})
 
 
+def test_split_rejects_one_file_for_both_outputs(tmp_path, capsys):
+    src = write_counts_manifest(tmp_path / "src.json", "src", list(range(10)))
+    out = tmp_path / "x.json"
+    (tmp_path / "sub").mkdir()
+    same = tmp_path / "sub" / ".." / "x.json"  # another spelling of out
+    argv = ["split", "--manifest", str(src), "--train-count", "5", "--out-train", str(out), "--out-test", str(same)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: --out-train and --out-test name the same file: {str(out)!r}\n"
+    assert not out.exists()
+
+
 def test_split_seed_env_override(tmp_path, capsys, monkeypatch):
     src = write_counts_manifest(tmp_path / "src.json", "src", list(range(8)))
     args = [
@@ -247,6 +258,19 @@ def test_tune_threshold_writes_curve_and_svg(tmp_path, capsys):
     assert svg.startswith("<?xml")
     points_attr = svg.split('<polyline points="')[1].split('"')[0]
     assert len(points_attr.split()) == 101
+
+
+def test_tune_threshold_rejects_one_file_for_curve_and_svg(tmp_path, capsys):
+    gt = Dataset("gt", (ImageRecord("a", 64, 64, count=CountLabel(1)),))
+    pred = Dataset("pred", (ImageRecord("a", 64, 64, boxes=(BoundingBox(0.5, 0.5, 0.1, 0.1, 0.5),)),))
+    save_manifest(gt, tmp_path / "gt.json")
+    save_manifest(pred, tmp_path / "pred.json")
+    out = tmp_path / "c.json"
+    argv = ["tune-threshold", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json"),
+            "--out", str(out), "--svg", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: --out and --svg name the same file: {str(out)!r}\n"
+    assert not out.exists()
 
 
 def test_tune_threshold_rejects_grid_step_not_dividing_one(tmp_path, capsys):
@@ -772,8 +796,8 @@ def test_cli_grid_that_cannot_be_read_exits_1_naming_it(tmp_path, capsys, argv, 
         (["eval-locate", "--gt", "{empty}", "--pred", "{empty}"], None,
          "{empty}, {empty}: maed requires at least one image"),
         (["ablate", "--manifest", "{empty}", "--out-dir", "{out}"], None, "{empty}: cannot ablate an empty dataset"),
-        (["split", "--manifest", "{counts}", "--train-count", "3", "--out-train", "{out}", "--out-test", "{out}"], None,
-         "{counts}: train_count 3 out of range [0, 2]"),
+        (["split", "--manifest", "{counts}", "--train-count", "3", "--out-train", "{out}", "--out-test", "{out}-test"],
+         None, "{counts}: train_count 3 out of range [0, 2]"),
         (["split", "--manifest", "{counts}", "--train-count", "-1", "--out-train", "{out}", "--out-test", "{out}"], None,
          "--train-count must be >= 0, got -1"),
     ],

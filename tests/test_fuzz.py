@@ -377,8 +377,8 @@ READERS = {
     "tune-threshold-gt": (["tune-threshold", "--gt", "{bad}", "--pred", "{good}", "--out", "{out}"], BAD_JSON),
     "tune-threshold-pred": (["tune-threshold", "--gt", "{good}", "--pred", "{bad}", "--out", "{out}"], BAD_JSON),
     "convert": (["convert", "--in", "{bad}", "--to", "count", "--out", "{out}"], BAD_JSON),
-    "split": (["split", "--manifest", "{bad}", "--train-count", "0", "--out-train", "{out}", "--out-test", "{out}"],
-              BAD_JSON),
+    "split": (["split", "--manifest", "{bad}", "--train-count", "0", "--out-train", "{out}",
+               "--out-test", "{out}-test"], BAD_JSON),
     "ablate": (["ablate", "--manifest", "{bad}", "--out-dir", "{out}"], BAD_JSON),
     "break-even": (["break-even", "--curve", "{bad}", "--target", "0.5"], BAD_JSON),
     "report": (["report", "--in", "{bad}"], BAD_JSON),

@@ -262,6 +262,8 @@ all_configs = [
         ([(0.88, 0.9), (0.5, 0.5), (0.12, 0.1)], [(0.1, 0.1), (0.9, 0.9)]),  # tall: pairs summed in gt order
         ([(0.3, 0.3)], []),
         ([], [(0.3, 0.3), (0.6, 0.6)]),
+        ([(0.5, 0.5)], [(0.25, 0.5), (0.75 + assignment._TAU + 2.0**-50, 0.5)]),  # distances just over _TAU apart
+        ([(0.25, 0.5), (0.75 + assignment._TAU + 2.0**-50, 0.5)], [(0.5, 0.5)]),  # the same, tall
     ],
 )
 def test_images_of_every_shape_settle_without_the_solver(gt, pred):
@@ -280,6 +282,7 @@ def test_images_of_every_shape_settle_without_the_solver(gt, pred):
         ([(0.5, 0.5)], [(0.25, 0.5), (0.75 + 2.0**-40, 0.5)]),  # 2**-40 apart, within _TAU
         ([(0.4, 0.5), (0.45, 0.5)], [(0.5, 0.5), (0.9, 0.9)]),  # both rows nearest to one column
         ([(0.4, 0.5), (0.4, 0.5)], [(0.5, 0.5), (0.9, 0.9)]),  # a repeated point
+        ([(0.5, 0.5)], [(0.25, 0.5), (0.75 + assignment._TAU, 0.5)]),  # distances 0.25 and 0.25 + _TAU, both exact
     ],
 )
 def test_images_whose_nearest_points_tie_or_clash_go_to_match_points(gt, pred):
