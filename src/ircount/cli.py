@@ -225,13 +225,13 @@ def _cmd_eval_count(args: argparse.Namespace) -> None:
 
 
 def _cmd_eval_locate(args: argparse.Namespace) -> None:
+    cfg = metrics.MaedConfig(args.penalty, not args.no_squared, args.denominator)
     gt = corpus.load_manifest(args.gt, args.max_count)
     pred = corpus.load_manifest(args.pred, args.max_count)
     with _naming(args.gt, args.pred):
         pairs = corpus.aligned_records(gt, pred)
     gt_sets = [_points_of(g, args.gt) for g, _ in pairs]
     pred_sets = [_points_of(p, args.pred) for _, p in pairs]
-    cfg = metrics.MaedConfig(args.penalty, not args.no_squared, args.denominator)
     with _naming(args.gt, args.pred):
         value = metrics.maed(gt_sets, pred_sets, cfg)
     _emit(
@@ -250,9 +250,9 @@ def _cmd_tune_threshold(args: argparse.Namespace) -> None:
     if not 0.0 <= args.nms <= 1.0:  # checked before the files are named below
         raise ValueError(f"--nms must be in [0, 1], got {args.nms}")
     _distinct_outputs("--out", args.out, "--svg", args.svg)
+    grid = postprocess.default_grid(args.grid_step)
     gt = corpus.load_manifest(args.gt, args.max_count)
     pred = corpus.load_manifest(args.pred, args.max_count)
-    grid = postprocess.default_grid(args.grid_step)
     with _naming(args.gt, args.pred):
         curve = postprocess.tune_threshold(pred, gt, grid, args.nms)
     best = {"best_threshold": curve.best_threshold, "best_accuracy": curve.best_accuracy}
@@ -319,8 +319,8 @@ def _cmd_split(args: argparse.Namespace) -> None:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> None:
-    ds = corpus.load_manifest(args.manifest, args.max_count)
     fractions = _parse_fractions(args.fractions)
+    ds = corpus.load_manifest(args.manifest, args.max_count)
     seed = _resolve_seed(args.seed)
     with _naming(args.manifest):
         subsets = harness.ablate_fractions(ds, fractions, seed)
@@ -356,6 +356,7 @@ def _cmd_bench(args: argparse.Namespace) -> None:
     for token in args.inputs:  # checked before the predictor starts
         if "\n" in token or "\r" in token:
             raise ValueError(f"--inputs token {token!r} holds a line break; each token is sent as one line")
+    harness.check_bench_options(args.warmup, args.iters, args.inputs)
     with harness.ProcessPredictor(args.cmd) as predictor:
         stats = harness.bench_fps(predictor, args.warmup, args.iters, args.inputs)
     payload = {

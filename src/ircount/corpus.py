@@ -7,6 +7,7 @@ subset of the tiers; converters derive weaker tiers from stronger ones.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import random
@@ -330,28 +331,31 @@ def _record_of(raw: object, pixel: bool, max_count: int) -> ImageRecord:
 
 
 def _tier_rows(
-    cls: type[BoundingBox | PointAnnotation], entries: list, spans: dict[int, slice], raws: list, pixel: bool,
-    bools: bool,
-) -> np.ndarray:
-    """Every entry of one tier in the file as one read-only ``(k, n)`` array,
-    read with one ``np.array`` call and checked in bulk; ``spans`` gives
-    each record's slice of ``entries``. Raises when an entry is not a row
-    of plain numbers that ``cls`` accepts (a type numpy does not read as a
-    number, a bool when the file text has one, a value out of range) or a
-    pixel file's dimension is too large for a float."""
+    cls: type[BoundingBox | PointAnnotation], name: str, raws: list, pixel: bool, bools: bool
+) -> list[np.ndarray | None]:
+    """Each record's ``name`` tier, in record order: a read-only view of one
+    ``(k, n)`` array of the whole file's entries, read with one ``np.array``
+    call and checked in bulk, or None where the record has no such tier.
+    Raises when an entry is not a row of plain numbers that ``cls`` accepts
+    (a type numpy does not read as a number, a bool when the file text has
+    one, a value out of range) or a pixel file's dimension is too large for
+    a float."""
     n = len(cls.__match_args__)
+    holders = [raw for raw in raws if name in raw]
+    entries = [e for raw in holders for e in raw[name]]
     rows = _rows_of(entries, n)
     if rows is None or (bools and any(bool in map(type, e) for e in entries)):
         raise ValueError(f"{cls.__name__} entries are not all rows of {n} numbers")
+    sizes = [len(raw[name]) for raw in holders]
     if pixel and len(rows):
-        scale = np.array([(raws[i]["width"], raws[i]["height"]) for i in spans], dtype=np.float64)
-        scale = np.repeat(scale, [span.stop - span.start for span in spans.values()], axis=0)
+        scale = np.repeat(np.array([(raw["width"], raw["height"]) for raw in holders], dtype=np.float64), sizes, axis=0)
         rows[:, :-1:2] /= scale[:, :1]
         rows[:, 1:-1:2] /= scale[:, 1:]
     if not _rows_ok(rows, cls):
         raise ValueError(f"{cls.__name__} entries out of range")
     rows.flags.writeable = False
-    return rows
+    views = iter([rows[end - size:end] for size, end in zip(sizes, itertools.accumulate(sizes))])
+    return [next(views) if name in raw else None for raw in raws]
 
 
 def _bulk_dataset(doc: dict, pixel: bool, bools: bool, max_count: int) -> Dataset:
@@ -359,32 +363,16 @@ def _bulk_dataset(doc: dict, pixel: bool, bools: bool, max_count: int) -> Datase
     file read into one array; every record keeps views of those arrays.
     Raises at the first problem, with no message meant for a reader."""
     raws = doc["records"]
-    # Each record's dimensions, and its entries gathered into one list per
-    # tier, with the record's slice of that list.
-    boxes: list = []
-    points: list = []
-    box_spans: dict[int, slice] = {}
-    point_spans: dict[int, slice] = {}
-    for i, raw in enumerate(raws):
+    for raw in raws:
         _check_dims(raw["width"], raw["height"])  # pixel entries divide by them
-        if "boxes" in raw:
-            start = len(boxes)
-            boxes.extend(raw["boxes"])
-            box_spans[i] = slice(start, len(boxes))
-        if "points" in raw:
-            start = len(points)
-            points.extend(raw["points"])
-            point_spans[i] = slice(start, len(points))
-    box_rows = _tier_rows(BoundingBox, boxes, box_spans, raws, pixel, bools)
-    point_rows = _tier_rows(PointAnnotation, points, point_spans, raws, pixel, bools)
+    boxes = _tier_rows(BoundingBox, "boxes", raws, pixel, bools)
+    points = _tier_rows(PointAnnotation, "points", raws, pixel, bools)
     return Dataset(doc.get("name"), tuple(
         ImageRecord._of_rows(
-            id=raw.get("id"), width=raw["width"], height=raw["height"],
-            boxes=box_rows[box_spans[i]] if i in box_spans else None,
-            points=point_rows[point_spans[i]] if i in point_spans else None,
+            id=raw.get("id"), width=raw["width"], height=raw["height"], boxes=rec_boxes, points=rec_points,
             count=_count(raw, max_count), frame_path=raw.get("frame_path"),
         )
-        for i, raw in enumerate(raws)
+        for raw, rec_boxes, rec_points in zip(raws, boxes, points)
     ))
 
 

@@ -121,6 +121,16 @@ def break_even(curve: FractionCurve, target_accuracy: float) -> float | None:
     return None
 
 
+def check_bench_options(warmup: int, iters: int, inputs: Sequence[object]) -> None:
+    """Raise unless ``bench_fps`` accepts these options; a caller checks them before it starts a predictor."""
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    if not inputs:
+        raise ValueError("inputs must be non-empty")
+
+
 def bench_fps(
     predictor: Predictor,
     warmup: int,
@@ -133,12 +143,7 @@ def bench_fps(
     Per-iteration samples are retained (up to ``PER_ITER_CAP``) so callers
     can report percentiles beyond the mean.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    if not inputs:
-        raise ValueError("inputs must be non-empty")
+    check_bench_options(warmup, iters, inputs)
     stream = itertools.cycle(inputs)
     for i in range(warmup):
         item = next(stream)
@@ -279,6 +284,8 @@ def synth_scene(
     """
     if n_people < 0:
         raise ValueError(f"n_people must be >= 0, got {n_people}")
+    if width < 1 or height < 1:
+        raise ValueError(f"width and height must be >= 1, got {width} x {height}")
     if not 0.0 < min_sep < math.inf:
         raise ValueError(f"min_sep must be positive and finite, got {min_sep}")
     if not 0.0 < blob_sigma < math.inf:

@@ -800,14 +800,25 @@ def test_cli_grid_that_cannot_be_read_exits_1_naming_it(tmp_path, capsys, argv, 
          None, "{counts}: train_count 3 out of range [0, 2]"),
         (["split", "--manifest", "{counts}", "--train-count", "-1", "--out-train", "{out}", "--out-test", "{out}"], None,
          "--train-count must be >= 0, got -1"),
+        (["synth", "--n", "0", "--dims=-5x10", "--out", "{out}"], None, "width and height must be >= 1, got -5 x 10"),
+        # Options are checked before the inputs (missing here) are read and before a predictor starts.
+        (["ablate", "--manifest", "{missing}", "--fractions", "0.5,0.2", "--out-dir", "{out}"], None,
+         "fractions must be non-empty and ascend within (0, 1], got '0.5,0.2'"),
+        (["eval-locate", "--gt", "{missing}", "--pred", "{missing}", "--penalty", "-1"], None,
+         "penalty must be positive and finite, got -1.0"),
+        (["tune-threshold", "--gt", "{missing}", "--pred", "{missing}", "--grid-step", "0.3", "--out", "{out}"], None,
+         "grid step must divide 1, got 0.3"),
+        (["bench", "--cmd", "{missing}", "--iters", "0", "--out", "{out}"], None, "iters must be >= 1, got 0"),
     ],
     ids=["threshold-nan", "threshold-nan-count-0", "synth-too-many", "seed-env", "count-only-locate", "dims",
          "fractions", "fractions-list", "no-dims-line", "bad-dims", "count-ids-differ", "locate-ids-differ",
          "tune-ids-differ", "tune-pred-without-boxes", "tune-nms-out-of-range", "count-empty", "locate-empty",
-         "ablate-empty", "split-too-many", "split-negative"],
+         "ablate-empty", "split-too-many", "split-negative", "synth-dims-below-one", "ablate-fractions-first",
+         "locate-penalty-first", "tune-grid-step-first", "bench-iters-first"],
 )
 def test_cli_error_exits_1_with_its_message(tmp_path, capsys, monkeypatch, argv, seed_env, message):
     paths = {
+        "missing": tmp_path / "missing.json",
         "ok": tmp_path / "ok.cam",
         "counts": write_counts_manifest(tmp_path / "counts.json", "counts", [1, 2]),
         "empty": write_counts_manifest(tmp_path / "empty.json", "empty", []),

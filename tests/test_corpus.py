@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -618,6 +618,19 @@ def load_outcome(load, path):
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=shaped_manifests())
+@example(text=json.dumps({"name": "gap", "coords": "pixel", "records": [  # each box scaled by its own record
+    {"id": "a", "width": 8, "height": 4, "boxes": [[4, 2, 2, 1, 0.5]]},
+    {"id": "b", "width": 640, "height": 512, "points": [[320, 256, 1]]},
+    {"id": "c", "width": 16, "height": 2, "boxes": [[8, 1, 4, 1, 1], [2, 1, 16, 2, 0.25]]},
+]}))
+@example(text=json.dumps({"name": "empty", "coords": "pixel", "records": [
+    {"id": "a", "width": 8, "height": 8, "boxes": []},
+    {"id": "b", "width": 4, "height": 2, "boxes": [[2, 1, 1, 1, 1]], "count": 1},
+]}))
+@example(text=json.dumps({"name": "bool", "records": [
+    {"id": "a", "width": 8, "height": 8, "boxes": [[0.5, 0.5, 0.1, 0.1, 1.0]]},
+    {"id": "b", "width": 8, "height": 8, "boxes": [[0.5, 0.5, 0.1, 0.1, True]]},
+]}))
 def test_bulk_load_agrees_with_per_entry_load(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("shaped") / "m.json"
     path.write_text(text, encoding="utf-8")
@@ -659,6 +672,19 @@ def test_bulk_load_agrees_with_per_entry_load_on_edge_cases(tmp_path, records, c
     path = tmp_path / "m.json"
     path.write_text(json.dumps({**doc, "coords": coords}))
     assert load_outcome(load_manifest, path) == load_outcome(oracles.per_entry_load_manifest, path)
+
+
+def test_bulk_load_gives_each_record_a_read_only_view_of_one_array(tmp_path):
+    boxes = [(make_box(score=0.5),), (), None, (make_box(cx=0.25), make_box(cy=0.75))]
+    counts = [None, None, CountLabel(0), None]
+    ds = Dataset("views", tuple(ImageRecord(i, 64, 64, boxes=b, count=c) for i, b, c in zip("abcd", boxes, counts)))
+    save_manifest(ds, tmp_path / "m.json")
+    loaded = load_manifest(tmp_path / "m.json")
+    assert loaded == ds
+    first, last = loaded.records[0].boxes, loaded.records[-1].boxes
+    assert first.base is last.base and np.shares_memory(first.base, last)
+    assert not (first.flags.writeable or last.flags.writeable or first.base.flags.writeable)
+    assert loaded.records[1].boxes.shape == (0, 5) and loaded.records[2].boxes is None
 
 
 def test_only_a_bad_manifest_takes_the_per_record_path(tmp_path, monkeypatch):
