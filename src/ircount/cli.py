@@ -3,8 +3,6 @@
 Subcommands: eval-count, eval-locate, tune-threshold, locate-cam,
 winsorize, convert, split, ablate, break-even, bench, synth, report.
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error, 143 SIGTERM.
-The IRCOUNT_SEED environment variable overrides the default seed of
-every randomized subcommand; an explicit --seed wins over both.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import contextlib
 import functools
 import json
 import math
-import os
 import signal
 import sys
 from dataclasses import replace
@@ -110,18 +107,6 @@ def _svg_line_chart(xs: Sequence[float], ys: Sequence[float], xlabel: str, title
 # shared helpers
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("IRCOUNT_SEED")
-    if env is None or env == "":
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"IRCOUNT_SEED must be an integer, got {env!r}") from None
-
-
 def _emit(payload: dict, out: str | None) -> None:
     _emit_text(json.dumps(payload, indent=2), out)
 
@@ -202,6 +187,10 @@ def _parse_fractions(text: str) -> list[float]:
             k += 1
     if not values or any(not 0.0 < v <= 1.0 for v in values) or any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"fractions must be non-empty and ascend within (0, 1], got {text!r}")
+    # The fractions ascend and {:g} rounds monotonically, so equal names are neighbours.
+    clash = next(((a, b) for a, b in zip(values, values[1:]) if f"{a:g}" == f"{b:g}"), None)
+    if clash:
+        raise ValueError(f"--fractions {clash[0]!r} and {clash[1]!r} would both write subset_{clash[0]:g}.json")
     return values
 
 
@@ -271,15 +260,14 @@ def _cmd_locate_cam(args: argparse.Namespace) -> None:
     else:
         width, height, values = read_grid(args.map, camloc.CAM_TAG)
         amap = checked_grid(args.map, (width, height, values * (peak / args.map_scale)), camloc.CAM_RANGE)
-    seed = _resolve_seed(args.seed)
-    result = camloc.locate_people(amap, args.threshold, args.count, seed)
+    result = camloc.locate_people(amap, args.threshold, args.count, args.seed)
     _emit(
         {
             "points": result.points[:, :2].tolist(),
             "count": args.count,
             "branch": result.branch,
             "degenerate": result.degenerate,
-            "seed": seed,
+            "seed": args.seed,
         },
         args.out,
     )
@@ -310,24 +298,18 @@ def _cmd_split(args: argparse.Namespace) -> None:
         raise ValueError(f"--train-count must be >= 0, got {args.train_count}")
     _distinct_outputs("--out-train", args.out_train, "--out-test", args.out_test)
     ds = corpus.load_manifest(args.manifest, args.max_count)
-    seed = _resolve_seed(args.seed)
     with _naming(args.manifest):
-        train, test = corpus.split_dataset(ds, args.train_count, seed)
+        train, test = corpus.split_dataset(ds, args.train_count, args.seed)
     corpus.save_manifest(train, args.out_train)
     corpus.save_manifest(test, args.out_test)
-    _emit({"train_size": len(train), "test_size": len(test), "seed": seed}, None)
+    _emit({"train_size": len(train), "test_size": len(test), "seed": args.seed}, None)
 
 
 def _cmd_ablate(args: argparse.Namespace) -> None:
     fractions = _parse_fractions(args.fractions)
     ds = corpus.load_manifest(args.manifest, args.max_count)
-    seed = _resolve_seed(args.seed)
     with _naming(args.manifest):
-        subsets = harness.ablate_fractions(ds, fractions, seed)
-    # The fractions ascend and {:g} rounds monotonically, so equal names are neighbours.
-    clash = next(((a, b) for a, b in zip(fractions, fractions[1:]) if f"{a:g}" == f"{b:g}"), None)
-    if clash:
-        raise ValueError(f"--fractions {clash[0]!r} and {clash[1]!r} would both write subset_{clash[0]:g}.json")
+        subsets = harness.ablate_fractions(ds, fractions, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     listing = []
@@ -335,7 +317,7 @@ def _cmd_ablate(args: argparse.Namespace) -> None:
         path = out_dir / f"subset_{fraction:g}.json"
         corpus.save_manifest(subset, path)
         listing.append({"fraction": fraction, "path": str(path), "size": len(subset)})
-    _emit({"seed": seed, "subsets": listing}, None)
+    _emit({"seed": args.seed, "subsets": listing}, None)
 
 
 def _cmd_break_even(args: argparse.Namespace) -> None:
@@ -371,18 +353,17 @@ def _cmd_bench(args: argparse.Namespace) -> None:
 
 def _cmd_synth(args: argparse.Namespace) -> None:
     width, height = _parse_dims(args.dims)
-    seed = _resolve_seed(args.seed)
-    scene = harness.synth_scene(args.n, width, height, args.sigma, args.min_sep, seed)
+    scene = harness.synth_scene(args.n, width, height, args.sigma, args.min_sep, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     map_path = out_dir / "map.cam"
     camloc.write_activation_map(scene.amap, map_path)
     record = ImageRecord(
-        f"synth-{seed}-0", width, height, scene.boxes, scene.points, corpus.CountLabel(args.n), "map.cam"
+        f"synth-{args.seed}-0", width, height, scene.boxes, scene.points, corpus.CountLabel(args.n), "map.cam"
     )
     manifest_path = out_dir / "scene.json"
     corpus.save_manifest(Dataset(f"synth[{args.n}@{args.dims}]", (record,)), manifest_path)
-    _emit({"map": str(map_path), "manifest": str(manifest_path), "count": args.n, "seed": seed}, None)
+    _emit({"map": str(map_path), "manifest": str(manifest_path), "count": args.n, "seed": args.seed}, None)
 
 
 def _report_rows(doc: object, path: str) -> list[tuple[str, metrics.MetricsReport]]:
@@ -437,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     gt_pred.add_argument("--gt", required=True)
     gt_pred.add_argument("--pred", required=True)
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None)
+    seed.add_argument("--seed", type=int, default=0)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out")
 

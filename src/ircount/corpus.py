@@ -386,6 +386,8 @@ def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
     loads again record by record, and that result stands: the error names
     every bad record by its id, each with its first problem.
     """
+    if max_count < 0:
+        raise ValueError(f"max_count must be >= 0, got {max_count}")
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

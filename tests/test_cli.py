@@ -7,6 +7,7 @@ import json
 import os
 import random
 import shlex
+import shutil
 import signal
 import stat
 import subprocess
@@ -94,7 +95,7 @@ PARSED_NAMESPACES = [
       "svg": None},
      "--gt, --pred, --out"),
     (["locate-cam", "--map", "m.cam", "--count", "3"],
-     {"count": 3, "map": "m.cam", "map_scale": 255.0, "out": None, "seed": None, "threshold": 27.0},
+     {"count": 3, "map": "m.cam", "map_scale": 255.0, "out": None, "seed": 0, "threshold": 27.0},
      "--map, --count"),
     (["winsorize", "in.frame", "out.frame"],
      {"hi": 95.0, "infile": "in.frame", "lo": 5.0, "outfile": "out.frame"},
@@ -103,11 +104,11 @@ PARSED_NAMESPACES = [
      {"infile": "a.json", "max_count": 20, "out": "b.json", "to": "points"},
      "--in, --to, --out"),
     (["split", "--manifest", "a.json", "--train-count", "2", "--out-train", "t.json", "--out-test", "s.json"],
-     {"manifest": "a.json", "max_count": 20, "out_test": "s.json", "out_train": "t.json", "seed": None,
+     {"manifest": "a.json", "max_count": 20, "out_test": "s.json", "out_train": "t.json", "seed": 0,
       "train_count": 2},
      "--manifest, --train-count, --out-train, --out-test"),
     (["ablate", "--manifest", "a.json", "--out-dir", "d"],
-     {"fractions": "0.1:1.0:0.1", "manifest": "a.json", "max_count": 20, "out_dir": "d", "seed": None},
+     {"fractions": "0.1:1.0:0.1", "manifest": "a.json", "max_count": 20, "out_dir": "d", "seed": 0},
      "--manifest, --out-dir"),
     (["break-even", "--curve", "c.json", "--target", "0.5"],
      {"curve": "c.json", "out": None, "target": 0.5},
@@ -116,7 +117,7 @@ PARSED_NAMESPACES = [
      {"cmd": "cat", "inputs": ["-"], "iters": 10000, "out": None, "warmup": 100},
      "--cmd"),
     (["synth", "--n", "3", "--out", "d"],
-     {"dims": "64x64", "min_sep": 16.0, "n": 3, "out": "d", "seed": None, "sigma": 2.0},
+     {"dims": "64x64", "min_sep": 16.0, "n": 3, "out": "d", "seed": 0, "sigma": 2.0},
      "--n, --out"),
     (["report", "--in", "r.json"],
      {"format": "markdown", "infile": "r.json", "out": None},
@@ -211,24 +212,41 @@ def test_split_rejects_one_file_for_both_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_split_seed_env_override(tmp_path, capsys, monkeypatch):
-    src = write_counts_manifest(tmp_path / "src.json", "src", list(range(8)))
-    args = [
-        "split",
-        "--manifest", str(src),
-        "--train-count", "4",
-        "--out-train", str(tmp_path / "a.json"),
-        "--out-test", str(tmp_path / "b.json"),
-    ]
-    monkeypatch.setenv("IRCOUNT_SEED", "77")
-    assert run(args) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 77
-    env_train = corpus.load_manifest(tmp_path / "a.json")
-    monkeypatch.setenv("IRCOUNT_SEED", "78")
-    assert run(args + ["--seed", "77"]) == 0
-    capsys.readouterr()
-    flag_train = corpus.load_manifest(tmp_path / "a.json")
-    assert [r.id for r in env_train] == [r.id for r in flag_train]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["split", "--manifest", "{counts}", "--train-count", "4", "--out-train", "{out}/train.json",
+         "--out-test", "{out}/test.json"],
+        ["ablate", "--manifest", "{counts}", "--fractions", "0.25,0.5,1", "--out-dir", "{out}"],
+        ["locate-cam", "--map", "{map}", "--count", "3"],
+        ["synth", "--n", "3", "--dims", "48x48", "--out", "{out}"],
+    ],
+    ids=["split", "ablate", "locate-cam", "synth"],
+)
+def test_randomized_commands_take_their_seed_from_the_option_alone(tmp_path, capsys, monkeypatch, argv):
+    paths = {"counts": write_counts_manifest(tmp_path / "counts.json", "counts", list(range(8))),
+             "map": tmp_path / "blob.cam", "out": tmp_path / "out"}
+    values = np.zeros((16, 16))
+    values[4:10, 4:10] = 255.0  # one component and three people: seeded samples inside it
+    camloc.write_activation_map(Grid(16, 16, values.ravel(), camloc.CAM_RANGE), paths["map"])
+
+    def outputs(env, extra=()):
+        if env is None:
+            monkeypatch.delenv("IRCOUNT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("IRCOUNT_SEED", env)
+        shutil.rmtree(paths["out"], ignore_errors=True)
+        paths["out"].mkdir()
+        assert run([arg.format(**paths) for arg in argv] + list(extra)) == 0
+        report = json.loads(capsys.readouterr().out)
+        files = {p.name: p.read_bytes() for p in sorted(paths["out"].iterdir())}
+        return report, files
+
+    unset = outputs(None)
+    assert unset[0]["seed"] == 0
+    assert outputs("77") == unset
+    assert outputs("abc") == unset
+    assert outputs(None, ["--seed", "77"]) != unset  # the seed does reach these outputs
 
 
 def test_tune_threshold_writes_curve_and_svg(tmp_path, capsys):
@@ -762,61 +780,66 @@ def test_cli_grid_that_cannot_be_read_exits_1_naming_it(tmp_path, capsys, argv, 
 
 
 @pytest.mark.parametrize(
-    "argv, seed_env, message",
+    "argv, message",
     [
-        (["locate-cam", "--map", "{ok}", "--count", "1", "--threshold", "nan"], None,
+        (["locate-cam", "--map", "{ok}", "--count", "1", "--threshold", "nan"],
          "threshold must be finite, got nan"),
-        (["locate-cam", "--map", "{ok}", "--count", "0", "--threshold", "nan", "--out", "{out}"], None,
+        (["locate-cam", "--map", "{ok}", "--count", "0", "--threshold", "nan", "--out", "{out}"],
          "threshold must be finite, got nan"),
-        (["synth", "--n", "3000", "--dims", "640x512", "--out", "{out}"], None,
+        (["synth", "--n", "3000", "--dims", "640x512", "--out", "{out}"],
          "could not place 3000 centers >= 16.0 px apart in 640 x 512: at most 1670 fit"),
-        (["synth", "--n", "1", "--dims", "16x16", "--out", "{out}"], "abc",
-         "IRCOUNT_SEED must be an integer, got 'abc'"),
-        (["eval-locate", "--gt", "{counts}", "--pred", "{counts}"], None,
+        (["eval-locate", "--gt", "{counts}", "--pred", "{counts}"],
          "{counts}: record 'r0' carries no localizable tier (points or boxes)"),
-        (["synth", "--n", "1", "--dims", "10", "--out", "{out}"], None, "dims must look like 64x64, got '10'"),
-        (["ablate", "--manifest", "{counts}", "--fractions", "a:b:c", "--out-dir", "{out}"], None,
+        (["synth", "--n", "1", "--dims", "10", "--out", "{out}"], "dims must look like 64x64, got '10'"),
+        (["ablate", "--manifest", "{counts}", "--fractions", "a:b:c", "--out-dir", "{out}"],
          "fractions must be start:stop:step or a comma list, got 'a:b:c'"),
-        (["ablate", "--manifest", "{counts}", "--fractions", "0.5,x", "--out-dir", "{out}"], None,
+        (["ablate", "--manifest", "{counts}", "--fractions", "0.5,x", "--out-dir", "{out}"],
          "fractions must be start:stop:step or a comma list, got '0.5,x'"),
-        (["locate-cam", "--map", "{no_dims}", "--count", "1"], None, "{no_dims}: missing dimensions line"),
-        (["locate-cam", "--map", "{bad_dims}", "--count", "1"], None, "{bad_dims}: non-integer dimensions '4 x'"),
-        (["eval-count", "--gt", "{a}", "--pred", "{b}"], None,
+        (["locate-cam", "--map", "{no_dims}", "--count", "1"], "{no_dims}: missing dimensions line"),
+        (["locate-cam", "--map", "{bad_dims}", "--count", "1"], "{bad_dims}: non-integer dimensions '4 x'"),
+        (["eval-count", "--gt", "{a}", "--pred", "{b}"],
          "{a}, {b}: manifests do not align by record id (first differences: ['a', 'b'])"),
-        (["eval-locate", "--gt", "{a}", "--pred", "{b}"], None,
+        (["eval-locate", "--gt", "{a}", "--pred", "{b}"],
          "{a}, {b}: manifests do not align by record id (first differences: ['a', 'b'])"),
-        (["tune-threshold", "--gt", "{a}", "--pred", "{b}", "--out", "{out}"], None,
+        (["tune-threshold", "--gt", "{a}", "--pred", "{b}", "--out", "{out}"],
          "{a}, {b}: manifests do not align by record id (first differences: ['a', 'b'])"),
-        (["tune-threshold", "--gt", "{a}", "--pred", "{a_pred}", "--out", "{out}"], None,
+        (["tune-threshold", "--gt", "{a}", "--pred", "{a_pred}", "--out", "{out}"],
          "{a}, {a_pred}: prediction record 'a' carries no boxes tier"),
-        (["tune-threshold", "--gt", "{a}", "--pred", "{a_pred}", "--nms", "2", "--out", "{out}"], None,
+        (["tune-threshold", "--gt", "{a}", "--pred", "{a_pred}", "--nms", "2", "--out", "{out}"],
          "--nms must be in [0, 1], got 2.0"),
-        (["eval-count", "--gt", "{empty}", "--pred", "{empty}"], None,
+        (["eval-count", "--gt", "{empty}", "--pred", "{empty}"],
          "{empty}, {empty}: count_metrics requires at least one pair"),
-        (["eval-locate", "--gt", "{empty}", "--pred", "{empty}"], None,
+        (["eval-locate", "--gt", "{empty}", "--pred", "{empty}"],
          "{empty}, {empty}: maed requires at least one image"),
-        (["ablate", "--manifest", "{empty}", "--out-dir", "{out}"], None, "{empty}: cannot ablate an empty dataset"),
+        (["ablate", "--manifest", "{empty}", "--out-dir", "{out}"], "{empty}: cannot ablate an empty dataset"),
         (["split", "--manifest", "{counts}", "--train-count", "3", "--out-train", "{out}", "--out-test", "{out}-test"],
-         None, "{counts}: train_count 3 out of range [0, 2]"),
-        (["split", "--manifest", "{counts}", "--train-count", "-1", "--out-train", "{out}", "--out-test", "{out}"], None,
+         "{counts}: train_count 3 out of range [0, 2]"),
+        (["split", "--manifest", "{counts}", "--train-count", "-1", "--out-train", "{out}", "--out-test", "{out}"],
          "--train-count must be >= 0, got -1"),
-        (["synth", "--n", "0", "--dims=-5x10", "--out", "{out}"], None, "width and height must be >= 1, got -5 x 10"),
+        (["synth", "--n", "0", "--dims=-5x10", "--out", "{out}"], "width and height must be >= 1, got -5 x 10"),
+        (["convert", "--in", "{counts}", "--to", "count", "--out", "{out}", "--max-count", "-1"],
+         "max_count must be >= 0, got -1"),
         # Options are checked before the inputs (missing here) are read and before a predictor starts.
-        (["ablate", "--manifest", "{missing}", "--fractions", "0.5,0.2", "--out-dir", "{out}"], None,
+        (["ablate", "--manifest", "{missing}", "--fractions", "0.5,0.2", "--out-dir", "{out}"],
          "fractions must be non-empty and ascend within (0, 1], got '0.5,0.2'"),
-        (["eval-locate", "--gt", "{missing}", "--pred", "{missing}", "--penalty", "-1"], None,
+        (["eval-locate", "--gt", "{missing}", "--pred", "{missing}", "--penalty", "-1"],
          "penalty must be positive and finite, got -1.0"),
-        (["tune-threshold", "--gt", "{missing}", "--pred", "{missing}", "--grid-step", "0.3", "--out", "{out}"], None,
+        (["tune-threshold", "--gt", "{missing}", "--pred", "{missing}", "--grid-step", "0.3", "--out", "{out}"],
          "grid step must divide 1, got 0.3"),
-        (["bench", "--cmd", "{missing}", "--iters", "0", "--out", "{out}"], None, "iters must be >= 1, got 0"),
+        (["bench", "--cmd", "{missing}", "--iters", "0", "--out", "{out}"], "iters must be >= 1, got 0"),
+        (["ablate", "--manifest", "{missing}", "--fractions", "0.1234561,0.1234562,1", "--out-dir", "{out}"],
+         "--fractions 0.1234561 and 0.1234562 would both write subset_0.123456.json"),
+        (["convert", "--in", "{missing}", "--to", "count", "--out", "{out}", "--max-count", "-1"],
+         "max_count must be >= 0, got -1"),
     ],
-    ids=["threshold-nan", "threshold-nan-count-0", "synth-too-many", "seed-env", "count-only-locate", "dims",
+    ids=["threshold-nan", "threshold-nan-count-0", "synth-too-many", "count-only-locate", "dims",
          "fractions", "fractions-list", "no-dims-line", "bad-dims", "count-ids-differ", "locate-ids-differ",
          "tune-ids-differ", "tune-pred-without-boxes", "tune-nms-out-of-range", "count-empty", "locate-empty",
-         "ablate-empty", "split-too-many", "split-negative", "synth-dims-below-one", "ablate-fractions-first",
-         "locate-penalty-first", "tune-grid-step-first", "bench-iters-first"],
+         "ablate-empty", "split-too-many", "split-negative", "synth-dims-below-one", "max-count-negative",
+         "ablate-fractions-first", "locate-penalty-first", "tune-grid-step-first", "bench-iters-first",
+         "ablate-fraction-names-first", "max-count-negative-first"],
 )
-def test_cli_error_exits_1_with_its_message(tmp_path, capsys, monkeypatch, argv, seed_env, message):
+def test_cli_error_exits_1_with_its_message(tmp_path, capsys, argv, message):
     paths = {
         "missing": tmp_path / "missing.json",
         "ok": tmp_path / "ok.cam",
@@ -832,10 +855,6 @@ def test_cli_error_exits_1_with_its_message(tmp_path, capsys, monkeypatch, argv,
     camloc.write_activation_map(Grid(4, 4, np.zeros(16), camloc.CAM_RANGE), paths["ok"])
     paths["no_dims"].write_text("CAM v1\n")
     paths["bad_dims"].write_text("CAM v1\n4 x\n")
-    if seed_env is None:
-        monkeypatch.delenv("IRCOUNT_SEED", raising=False)
-    else:
-        monkeypatch.setenv("IRCOUNT_SEED", seed_env)
     assert run([arg.format(**paths) for arg in argv]) == 1
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
     assert not paths["out"].exists()

@@ -521,6 +521,9 @@ def test_manifest_max_count(tmp_path):
     with pytest.raises(ManifestError, match="max_count"):
         load_manifest(path)
     assert load_manifest(path, max_count=21).records[0].count.count == 21
+    for where in (path, tmp_path / "missing.json"):  # checked before the file is opened
+        with pytest.raises(ValueError, match=r"^max_count must be >= 0, got -1$"):
+            load_manifest(where, max_count=-1)
 
 
 def test_manifest_parse_error(tmp_path):
