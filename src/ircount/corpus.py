@@ -400,8 +400,10 @@ def load_manifest(path: str | Path, max_count: int = 20) -> Dataset:
     if coords not in ("normalized", "pixel"):
         raise ManifestError(f"{path}: coords must be 'normalized' or 'pixel', got {coords!r}")
     pixel = coords == "pixel"
+    bools = "true" in text or "false" in text
+    del text  # only the bools scan reads it; the passes below need the parsed doc alone
     try:
-        return _bulk_dataset(doc, pixel, "true" in text or "false" in text, max_count)
+        return _bulk_dataset(doc, pixel, bools, max_count)
     except (ValueError, TypeError, KeyError, OverflowError):
         pass  # the per-record path below finds and words what is wrong
 
@@ -439,7 +441,9 @@ def _record_to_dict(rec: ImageRecord) -> dict:
 
 def save_manifest(ds: Dataset, path: str | Path) -> None:
     """Write a manifest, one record per line, that loads back field-exactly
-    (atomic write)."""
-    records = ",\n".join(rec._line for rec in ds.records)
-    tail = "\n]}\n" if records else "]}\n"
-    write_text_atomic(path, f'{{"name": {json.dumps(ds.name)}, "records": [\n{records}{tail}')
+    (atomic write). One join builds the text and the write encodes it in
+    1 MiB slices, so the call holds one copy of it beside the cached lines."""
+    lines = [rec._line for rec in ds.records] or [""]
+    lines[0] = f'{{"name": {json.dumps(ds.name)}, "records": [\n{lines[0]}'
+    lines[-1] += "\n]}\n" if ds.records else "]}\n"
+    write_text_atomic(path, ",\n".join(lines))

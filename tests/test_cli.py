@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -765,6 +766,53 @@ def test_write_text_atomic_reraises_other_errors_after_removing_its_temp_file(tm
         _fsutil.write_text_atomic(target, b"new")
     assert target.read_text(encoding="utf-8") == "old"
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def _slice_edges_text():
+    """A text longer than two slices whose characters on either side of each
+    slice edge take 3 bytes in UTF-8; the first also spans byte 2**20."""
+    size = _fsutil._SLICE
+    chars = ["a"] * (2 * size + 3)
+    for i in (size - 1, size, 2 * size - 1, 2 * size):
+        chars[i] = "\u20ac"
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("make", [lambda: "", lambda: "a" * _fsutil._SLICE, _slice_edges_text],
+                         ids=["empty", "one-slice", "slice-edges"])
+def test_write_text_atomic_writes_the_utf8_bytes_of_its_text(tmp_path, make):
+    text = make()
+    _fsutil.write_text_atomic(tmp_path / "out.txt", text)
+    assert (tmp_path / "out.txt").read_bytes() == text.encode("utf-8")
+
+
+def test_write_text_atomic_unencodable_second_slice_keeps_the_target(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("old", encoding="utf-8")
+    sizes, unlink = [], os.unlink
+
+    def spy(name):
+        sizes.append(os.path.getsize(name))
+        unlink(name)
+
+    monkeypatch.setattr(_fsutil.os, "unlink", spy)
+    with pytest.raises(UnicodeEncodeError):
+        _fsutil.write_text_atomic(target, "a" * _fsutil._SLICE + "\ud800")
+    assert sizes == [_fsutil._SLICE]  # the first slice reached the temp file before the error
+    assert target.read_text(encoding="utf-8") == "old"
+    assert list(tmp_path.glob("tmp*.tmp")) == []
+
+
+def test_write_text_atomic_holds_one_slice_of_encoded_text(tmp_path):
+    text = "x" * (4 * 2**20)
+    tracemalloc.start()
+    try:
+        _fsutil.write_text_atomic(tmp_path / "big.txt", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20  # a slice and its bytes; the whole encoding would be 4 MiB
+    assert (tmp_path / "big.txt").stat().st_size == len(text)
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

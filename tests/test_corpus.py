@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,44 @@ def test_manifest_one_record_per_line(tmp_path, n):
     assert text.endswith("\n") and len(lines) - 1 == n + 2
     assert [json.loads(line.rstrip(",")) for line in lines[1:-2]] == json.loads(text)["records"]
     assert load_manifest(path) == ds
+
+
+@pytest.mark.parametrize(
+    ("n", "expected"),
+    [
+        (0, '{"name": "c4", "records": [\n]}\n'),
+        (1, '{"name": "c4", "records": [\n{"id": "r0", "width": 64, "height": 64, "count": 2}\n]}\n'),
+        (3, '{"name": "c4", "records": [\n'
+            '{"id": "r0", "width": 64, "height": 64, "count": 2},\n'
+            '{"id": "r1", "width": 640, "height": 512, "boxes": [[0.25, 0.5, 0.125, 0.1, 0.9]]},\n'
+            '{"id": "r2", "width": 8, "height": 8, "points": [[0.5, 0.75, 1.0]], "frame_path": "f/2.frame"}\n'
+            ']}\n'),
+    ],
+)
+def test_manifest_exact_text(tmp_path, n, expected):
+    records = (
+        count_record("r0", 2),
+        box_record("r1", [make_box(0.25, 0.5, 0.125, 0.1, 0.9)], width=640, height=512),
+        ImageRecord("r2", 8, 8, points=(make_point(0.5, 0.75),), frame_path="f/2.frame"),
+    )
+    save_manifest(Dataset("c4", records[:n]), tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_bytes() == expected.encode("utf-8")
+
+
+def test_manifest_save_holds_one_copy_of_its_text(tmp_path):
+    rng = np.random.default_rng(7)
+    ds = Dataset("big", tuple(box_record(f"img-{i:05d}", [make_box(*row) for row in rng.uniform(0.05, 0.95, (8, 5))])
+                              for i in range(3000)))
+    save_manifest(ds, tmp_path / "first.json")  # caches each record's line
+    tracemalloc.start()
+    try:
+        save_manifest(ds, tmp_path / "m.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "m.json").stat().st_size
+    assert size > 2 * 2**20
+    assert peak < size + 2.5 * 2**20  # the joined text and one encoded slice
 
 
 def test_record_encoding_leaves_identity_alone(tmp_path):
