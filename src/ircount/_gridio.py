@@ -137,18 +137,28 @@ _WRITE_BLOCK_CELLS = 1 << 14  # cells formatted together; a block's temporaries 
 def write_grid(path: str | Path, tag: str, values: np.ndarray) -> None:
     """Write a (height, width) array as a grid file atomically (temp file + rename).
 
-    Floats are rendered with repr so a read-back is bit-exact. Each block
-    of rows renders each distinct 64-bit pattern once: real maps and
-    frames repeat few values many times.
+    Floats are rendered with repr so a read-back is bit-exact. The first
+    ``_WRITE_BLOCK_CELLS`` distinct 64-bit patterns are rendered once per
+    grid, until a later block holds none of them; others, once per block.
     """
     values = np.asarray(values, dtype=np.float64)
     height, width = values.shape
     rows = [f"{tag} v1", f"{width} {height}"]
     step = max(1, _WRITE_BLOCK_CELLS // max(width, 1))
+    # The patterns rendered so far, sorted. The all-ones pattern, a NaN, ends it: every lookup lands inside.
+    empty_table = np.full(1, 2**64 - 1, dtype=np.uint64), np.array(["nan"], dtype=object)
+    (known, known_words), room = empty_table, _WRITE_BLOCK_CELLS
     for start in range(0, height, step):
         block = values[start : start + step]
         bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-        words = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        at = np.searchsorted(known, bits)
+        words, new = known_words[at], known[at] != bits
+        words[new] = list(map(repr, bits[new].view(np.float64).tolist()))
+        if known.size < room:
+            known, known_words = np.insert(known, at[new], bits[new]), np.insert(known_words, at[new], words[new])
+        elif new.all():  # a full table that holds none of this block's values: stop looking up
+            (known, known_words), room = empty_table, 0
         rows.extend(map(" ".join, words[inverse.reshape(block.shape)].tolist()))
+    del known, known_words  # freed before the join doubles the rows
     rows.append("")  # the final newline
     write_text_atomic(path, "\n".join(rows))

@@ -66,10 +66,17 @@ class LocateResult:
         return self.branch == "empty-mask"
 
 
+def check_locate_options(binary_threshold: float, num_instances: int = 0) -> None:
+    """Raise unless :func:`locate_people` accepts these options; a caller checks them before it reads a map."""
+    if num_instances < 0:
+        raise ValueError(f"num_instances must be >= 0, got {num_instances}")
+    if not np.isfinite(binary_threshold):
+        raise ValueError(f"threshold must be finite, got {binary_threshold!r}")
+
+
 def binarize(amap: Grid, threshold: float) -> np.ndarray:
     """Boolean mask of pixels strictly above the threshold."""
-    if not np.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    check_locate_options(threshold)
     return amap.values > threshold
 
 
@@ -203,8 +210,7 @@ def locate_people(
     repeating the map argmax, flagged via ``degenerate``. The threshold
     must be finite whatever the count.
     """
-    if num_instances < 0:
-        raise ValueError(f"num_instances must be >= 0, got {num_instances}")
+    check_locate_options(binary_threshold, num_instances)
     mask = binarize(amap, binary_threshold)
     if num_instances == 0:
         return LocateResult(np.empty((0, 3)), "none")

@@ -254,6 +254,7 @@ def _cmd_tune_threshold(args: argparse.Namespace) -> None:
 def _cmd_locate_cam(args: argparse.Namespace) -> None:
     if not 0.0 < args.map_scale < math.inf:
         raise ValueError(f"--map-scale must be positive and finite, got {args.map_scale}")
+    camloc.check_locate_options(args.threshold, args.count)
     peak = camloc.CAM_RANGE[1]
     if args.map_scale == peak:
         amap = camloc.read_activation_map(args.map)
@@ -274,6 +275,7 @@ def _cmd_locate_cam(args: argparse.Namespace) -> None:
 
 
 def _cmd_winsorize(args: argparse.Namespace) -> None:
+    preprocess.check_winsorize_options(args.lo, args.hi)
     frame = preprocess.read_frame(args.infile)
     preprocess.write_frame(preprocess.winsorize(frame, args.lo, args.hi), args.outfile)
 
@@ -321,6 +323,7 @@ def _cmd_ablate(args: argparse.Namespace) -> None:
 
 
 def _cmd_break_even(args: argparse.Namespace) -> None:
+    harness.check_break_even_options(args.target)
     doc = _load_json(args.curve)
     try:
         curve = FractionCurve(

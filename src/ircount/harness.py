@@ -104,13 +104,18 @@ def ablate_fractions(ds: Dataset, fractions: Sequence[float], seed: int) -> list
     return subsets
 
 
+def check_break_even_options(target_accuracy: float) -> None:
+    """Raise unless :func:`break_even` accepts this target; a caller checks it before it reads a curve."""
+    if not 0.0 <= target_accuracy <= 1.0:
+        raise ValueError(f"target accuracy must be in [0, 1], got {target_accuracy}")
+
+
 def break_even(curve: FractionCurve, target_accuracy: float) -> float | None:
     """Smallest fraction whose piecewise-linear accuracy reaches the target.
 
     Returns None when the curve never reaches the target.
     """
-    if not 0.0 <= target_accuracy <= 1.0:
-        raise ValueError(f"target accuracy must be in [0, 1], got {target_accuracy}")
+    check_break_even_options(target_accuracy)
     fr, acc = curve.fractions, curve.accuracies
     if acc[0] >= target_accuracy:
         return fr[0]

@@ -25,6 +25,14 @@ def percentile(values: np.ndarray, q: float) -> float:
     return result
 
 
+def check_winsorize_options(lo: float, hi: float) -> None:
+    """Raise unless :func:`winsorize` accepts these percentiles; a caller checks them before it reads a frame."""
+    if not 0.0 <= lo < 50.0:
+        raise ValueError(f"lo percentile must be in [0, 50), got {lo}")
+    if not 50.0 < hi <= 100.0:
+        raise ValueError(f"hi percentile must be in (50, 100], got {hi}")
+
+
 def winsorize_bounds(frame: Grid, lo: float = 5.0, hi: float = 95.0) -> tuple[float, float]:
     """Clip bounds used by :func:`winsorize`.
 
@@ -35,10 +43,7 @@ def winsorize_bounds(frame: Grid, lo: float = 5.0, hi: float = 95.0) -> tuple[fl
     interval (possible only for very small frames), the interpolated
     percentiles themselves are used.
     """
-    if not 0.0 <= lo < 50.0:
-        raise ValueError(f"lo percentile must be in [0, 50), got {lo}")
-    if not 50.0 < hi <= 100.0:
-        raise ValueError(f"hi percentile must be in (50, 100], got {hi}")
+    check_winsorize_options(lo, hi)
     flat = frame.values.ravel()
     p_lo, p_hi = percentile(flat, lo), percentile(flat, hi)
     inside = flat[(flat >= p_lo) & (flat <= p_hi)]

@@ -879,13 +879,21 @@ def test_cli_grid_that_cannot_be_read_exits_1_naming_it(tmp_path, capsys, argv, 
          "--fractions 0.1234561 and 0.1234562 would both write subset_0.123456.json"),
         (["convert", "--in", "{missing}", "--to", "count", "--out", "{out}", "--max-count", "-1"],
          "max_count must be >= 0, got -1"),
+        (["winsorize", "{missing}", "{out}", "--lo", "90", "--hi", "10"], "lo percentile must be in [0, 50), got 90.0"),
+        (["winsorize", "{missing}", "{out}", "--hi", "10"], "hi percentile must be in (50, 100], got 10.0"),
+        (["locate-cam", "--map", "{missing}", "--count", "-1", "--out", "{out}"], "num_instances must be >= 0, got -1"),
+        (["locate-cam", "--map", "{missing}", "--count", "1", "--threshold", "nan", "--out", "{out}"],
+         "threshold must be finite, got nan"),
+        (["break-even", "--curve", "{missing}", "--target", "2", "--out", "{out}"],
+         "target accuracy must be in [0, 1], got 2.0"),
     ],
     ids=["threshold-nan", "threshold-nan-count-0", "synth-too-many", "count-only-locate", "dims",
          "fractions", "fractions-list", "no-dims-line", "bad-dims", "count-ids-differ", "locate-ids-differ",
          "tune-ids-differ", "tune-pred-without-boxes", "tune-nms-out-of-range", "count-empty", "locate-empty",
          "ablate-empty", "split-too-many", "split-negative", "synth-dims-below-one", "max-count-negative",
          "ablate-fractions-first", "locate-penalty-first", "tune-grid-step-first", "bench-iters-first",
-         "ablate-fraction-names-first", "max-count-negative-first"],
+         "ablate-fraction-names-first", "max-count-negative-first", "winsorize-lo-first", "winsorize-hi-first",
+         "locate-count-first", "locate-threshold-first", "break-even-target-first"],
 )
 def test_cli_error_exits_1_with_its_message(tmp_path, capsys, argv, message):
     paths = {

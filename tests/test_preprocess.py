@@ -305,6 +305,57 @@ def test_write_grid_rows_wider_than_a_block_equal_the_per_value_writer(tmp_path)
     assert (tmp_path / "wide.cam").read_bytes() == repr_grid_text("CAM", values).encode("ascii")
 
 
+def test_write_grid_renders_each_distinct_value_once_per_grid(tmp_path):
+    rng = np.random.default_rng(29)
+    pool = rng.normal(size=1000)
+    values = pool[rng.integers(0, pool.size, size=(512, 640))]  # 20 blocks, each meeting most of the pool
+    assert np.unique(values).size == pool.size
+    with mock.patch.object(_gridio, "repr", create=True, side_effect=repr) as rendered:
+        write_grid(tmp_path / "pool.frame", "FRAME", values)
+    assert rendered.call_count == pool.size
+    assert (tmp_path / "pool.frame").read_bytes() == repr_grid_text("FRAME", values).encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "blocks, renders",
+    [(list(range(10)), 640), ([0, 0, 1, 0, 1], 256)],
+    ids=["distinct", "repeats"],
+)
+def test_write_grid_past_a_full_table_renders_per_block(tmp_path, blocks, renders):
+    # 64-cell blocks of 4 rows, each drawn as one of ten sets of distinct values.
+    # Block 0 fills the table; a repeat of it is looked up, not rendered. Block 1,
+    # none of whose values the full table holds, ends the lookups, so the later
+    # repeats are rendered again: 64 + 0 + 64 + 64 + 64. A table that kept
+    # growing renders 128, and one kept full after block 1, 192.
+    sets = np.random.default_rng(7).normal(size=(10, 4, 16))
+    values = np.concatenate(sets[blocks])
+    with (
+        mock.patch.object(_gridio, "_WRITE_BLOCK_CELLS", 64),
+        mock.patch.object(_gridio, "repr", create=True, side_effect=repr) as rendered,
+    ):
+        write_grid(tmp_path / "g.frame", "FRAME", values)
+    assert rendered.call_count == renders
+    assert (tmp_path / "g.frame").read_bytes() == repr_grid_text("FRAME", values).encode("ascii")
+
+
+@pytest.mark.parametrize("rounded, bound", [(False, 2.7), (True, 3.3)], ids=["distinct", "rounded-frame"])
+def test_write_grid_peak_memory_stays_near_its_rows_and_their_join(tmp_path, rounded, bound):
+    # Rows and join read 2.45x on all-distinct values and 3.17x on a frame of
+    # 17,517 short values. A table that kept every string reads 6.2x on the
+    # first; a full table still alive during the join, 3.56x on the second.
+    values = np.random.default_rng(11).normal(size=(512, 640))
+    if rounded:
+        values = np.round(values * 3.0 + 22.0, 3)
+    path = tmp_path / "grid.frame"
+    tracemalloc.start()
+    try:
+        write_grid(path, "FRAME", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * path.stat().st_size
+
+
 grid_separators = st.sampled_from([" ", " ", "\n", "\r\n", "\r", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "  \n "])
 
 
