@@ -15,14 +15,17 @@ from typing import Iterator, Sequence
 import numpy as np
 
 Point = Sequence[float]  # an (x, y, ...) row; a set of them may also be a (k, >= 2) array
+_MAX_COST = float(np.finfo(np.float64).max) / 8  # CostMatrix's bound, argued in its docstring
 
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Dense matrix of finite, non-negative costs.
+    """Dense matrix of non-negative costs of at most ``_MAX_COST``.
 
     ``costs`` may be given flat in row-major order or shaped ``(rows, cols)``;
-    it is stored as a read-only ``(rows, cols)`` float64 array.
+    it is stored as a read-only ``(rows, cols)`` float64 array. On costs up to C,
+    ``hungarian``'s duals stay in [-2C, C] (``_TAU``) and a search ends on a free
+    column within C of its free row, so its sums stay within 5C: finite for C <= max / 8.
     """
 
     rows: int
@@ -38,10 +41,11 @@ class CostMatrix:
         if costs.ndim > 1 and costs.shape != (self.rows, self.cols):
             raise ValueError(f"costs have shape {costs.shape}, expected {(self.rows, self.cols)}")
         costs = costs.reshape(self.rows, self.cols)
-        ok = np.isfinite(costs) & (costs >= 0.0)
+        ok = (costs >= 0.0) & (costs <= _MAX_COST)  # false on nan and inf too
         if not ok.all():
             bad = float(costs.flat[np.argmin(ok)])
-            raise ValueError(f"costs must be finite and >= 0, got {bad!r}")
+            rule = f"at most {_MAX_COST!r}" if _MAX_COST < bad < math.inf else "finite and >= 0"
+            raise ValueError(f"costs must be {rule}, got {bad!r}")
         costs.flags.writeable = False
         object.__setattr__(self, "costs", costs)
 
@@ -108,8 +112,6 @@ def _augment(c: np.ndarray, v: np.ndarray, col4row: list[int], row4col: list[int
         np.minimum(shortest, reduced, out=shortest)
         j = int(shortest.argmin())
         dist = float(shortest[j])
-        if dist == math.inf:
-            raise ValueError("assignment costs overflow float64")
         settled.append(j)
         lengths.append(dist)
         duals.append(float(v[j]))

@@ -255,13 +255,10 @@ def _cmd_locate_cam(args: argparse.Namespace) -> None:
     if not 0.0 < args.map_scale < math.inf:
         raise ValueError(f"--map-scale must be positive and finite, got {args.map_scale}")
     camloc.check_locate_options(args.threshold, args.count)
-    peak = camloc.CAM_RANGE[1]
-    if args.map_scale == peak:
-        amap = camloc.read_activation_map(args.map)
-    else:
-        width, height, values = read_grid(args.map, camloc.CAM_TAG)
-        amap = checked_grid(args.map, (width, height, values * (peak / args.map_scale)), camloc.CAM_RANGE)
-    result = camloc.locate_people(amap, args.threshold, args.count, args.seed)
+    amap = checked_grid(args.map, read_grid(args.map, camloc.CAM_TAG), (0.0, args.map_scale))
+    # --threshold is on the 0-255 scale. Held to [-1, peak], which changes no mask of a [0, peak] map, it stays finite.
+    threshold = min(max(args.threshold * (args.map_scale / camloc.CAM_RANGE[1]), -1.0), args.map_scale)
+    result = camloc.locate_people(amap, threshold, args.count, args.seed)
     _emit(
         {
             "points": result.points[:, :2].tolist(),
@@ -365,7 +362,7 @@ def _cmd_synth(args: argparse.Namespace) -> None:
         f"synth-{args.seed}-0", width, height, scene.boxes, scene.points, corpus.CountLabel(args.n), "map.cam"
     )
     manifest_path = out_dir / "scene.json"
-    corpus.save_manifest(Dataset(f"synth[{args.n}@{args.dims}]", (record,)), manifest_path)
+    corpus.save_manifest(Dataset(f"synth[{args.n}@{width}x{height}]", (record,)), manifest_path)
     _emit({"map": str(map_path), "manifest": str(manifest_path), "count": args.n, "seed": args.seed}, None)
 
 

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +54,31 @@ def test_cost_matrix_validation_messages():
         CostMatrix(1, 2, (0.0, math.nan))
     with pytest.raises(ValueError, match="non-negative"):
         CostMatrix(-1, 0, ())
+
+
+def test_cost_matrix_rejects_costs_above_the_solver_bound():
+    # Unbounded, this matrix made the solver's search overflow to inf: a RuntimeWarning, then an error.
+    big = sys.float_info.max
+    message = f"costs must be at most {assignment._MAX_COST!r}, got {big / 2!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CostMatrix(3, 3, (0.0, 0.0, 0.0, 0.0, 0.0, big / 2, big, big, big))
+    with pytest.raises(ValueError, match="^costs must be at most"):
+        CostMatrix(1, 1, (np.nextafter(assignment._MAX_COST, math.inf),))
+    assert hungarian(CostMatrix(1, 1, (assignment._MAX_COST,)))[0] == [(0, 0)]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_hungarian_solves_costs_up_to_the_bound_without_overflow(n):
+    # A RuntimeWarning fails the suite, so each solve here also shows that no sum overflowed.
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = np.where(rng.random((n, n)) < 0.3, rng.choice([0.0, 1.0], size=(n, n)), rng.random((n, n)))
+        pairs, v = hungarian(CostMatrix(n, n, x))
+        # A power of two scales every step of the search exactly.
+        big_pairs, big_v = hungarian(CostMatrix(n, n, x * 2.0**1020))
+        assert big_pairs == pairs and big_v.tolist() == (v * 2.0**1020).tolist()
+        at_bound = hungarian(CostMatrix(n, n, x * assignment._MAX_COST))[0]
+        assert sum(x[i, j] for i, j in at_bound) == pytest.approx(sum(x[i, j] for i, j in pairs), abs=1e-12)
 
 
 def test_cost_matrix_rejects_costs_shaped_against_its_dimensions():

@@ -22,6 +22,7 @@ import pytest
 
 from conftest import make_box
 from ircount import Grid, _fsutil, camloc, cli, corpus, harness, preprocess
+from ircount._gridio import write_grid
 from ircount.cli import _parse_fractions, emit_plot, run
 from ircount.corpus import BoundingBox, CountLabel, Dataset, ImageRecord, PointAnnotation, save_manifest
 from ircount.harness import FractionCurve
@@ -385,8 +386,6 @@ def test_locate_cam_output(tmp_path, capsys):
 def test_locate_cam_map_scale(tmp_path):
     values = np.zeros((8, 8))
     values[4, 4] = 1.0  # unit-scale map
-    from ircount._gridio import write_grid
-
     write_grid(tmp_path / "unit.cam", "CAM", values)
     code = run(
         [
@@ -401,6 +400,44 @@ def test_locate_cam_map_scale(tmp_path):
     payload = json.loads((tmp_path / "p.json").read_text())
     assert payload["branch"] == "exact"
     assert payload["points"][0] == [(4 + 0.5) / 8, (4 + 0.5) / 8]
+
+
+@pytest.mark.parametrize("scale", ["0.7", "1.1", "1.4", "5.5"])
+def test_locate_cam_reads_a_map_whose_peak_is_its_scale(tmp_path, capsys, scale):
+    # Rescaled to 0-255 on load, each of these peaks rounded above 255 and the map was rejected.
+    values = np.zeros((8, 8))
+    values[2, 5], values[6, 1] = float(scale), float(scale) / 10  # the second is below 27/255 of the peak
+    write_grid(tmp_path / "m.cam", "CAM", values)
+    assert run(["locate-cam", "--map", str(tmp_path / "m.cam"), "--count", "1", "--map-scale", scale]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["branch"] == "exact"
+    assert payload["points"] == [[(5 + 0.5) / 8, (2 + 0.5) / 8]]
+
+
+@pytest.mark.parametrize("k", [-3, 1, 4])
+def test_locate_cam_threshold_keeps_its_meaning_on_a_scaled_map(tmp_path, capsys, k):
+    # 27 is the default threshold and stays background, so the two 28s are two people, not one
+    # bridged blob. Scaling by 2**k is exact, so the scaled map must give the same bytes.
+    values = np.zeros((6, 6))
+    values[1, 1:4] = (28.0, 27.0, 28.0)
+    values[4, 2], values[4, 4] = 26.0, 255.0
+    outputs = []
+    for name, factor, scale in (("ref", 1.0, "255"), ("scaled", 2.0**k, repr(255.0 * 2.0**k))):
+        write_grid(tmp_path / f"{name}.cam", "CAM", values * factor)
+        argv = ["locate-cam", "--map", str(tmp_path / f"{name}.cam"), "--count", "3", "--map-scale", scale]
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert json.loads(outputs[0])["branch"] == "exact"
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("threshold, branch", [("1e308", "empty-mask"), ("-1e308", "exact")])
+def test_locate_cam_threshold_past_the_map_range_keeps_its_cut(tmp_path, capsys, threshold, branch):
+    # Moved onto a 1000-peak map, these thresholds overflow to +-inf unless held to the map's range.
+    write_grid(tmp_path / "m.cam", "CAM", np.array([[700.0, 100.0]]))
+    argv = ["locate-cam", "--map", str(tmp_path / "m.cam"), "--count", "1", "--map-scale", "1000"]
+    assert run([*argv, f"--threshold={threshold}"]) == 0
+    assert json.loads(capsys.readouterr().out)["branch"] == branch
 
 
 @pytest.mark.parametrize("scale", ["inf", "nan"])
@@ -662,10 +699,17 @@ def test_synth_cli_writes_scene(tmp_path, capsys):
     assert amap.values.max() == 255.0
 
 
+@pytest.mark.parametrize("dims", ["64X64", "064x064", " 64x64"])
+def test_synth_names_its_manifest_after_the_parsed_dims(tmp_path, dims):
+    for name, text in (("ref", "64x64"), ("alt", dims)):
+        assert run(["synth", "--n", "2", "--dims", text, "--seed", "1", "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "alt" / "scene.json").read_bytes() == (tmp_path / "ref" / "scene.json").read_bytes()
+
+
 @pytest.mark.parametrize(
     "flag, value, name",
     [
-        ("--sigma", "inf", "blob_sigma"),  # unchecked, math.ceil raises OverflowError: exit 2
+        ("--sigma", "inf", "blob_sigma"),  # unchecked, math.ceil would raise OverflowError and exit 2
         ("--sigma", "nan", "blob_sigma"),
         ("--min-sep", "nan", "min_sep"),
         ("--min-sep", "inf", "min_sep"),
@@ -845,6 +889,8 @@ def test_cli_grid_that_cannot_be_read_exits_1_naming_it(tmp_path, capsys, argv, 
          "fractions must be start:stop:step or a comma list, got '0.5,x'"),
         (["locate-cam", "--map", "{no_dims}", "--count", "1"], "{no_dims}: missing dimensions line"),
         (["locate-cam", "--map", "{bad_dims}", "--count", "1"], "{bad_dims}: non-integer dimensions '4 x'"),
+        (["locate-cam", "--map", "{scaled}", "--count", "1", "--map-scale", "0.7"],
+         "{scaled}: grid values must lie in [0, 0.7]"),
         (["eval-count", "--gt", "{a}", "--pred", "{b}"],
          "{a}, {b}: manifests do not align by record id (first differences: ['a', 'b'])"),
         (["eval-locate", "--gt", "{a}", "--pred", "{b}"],
@@ -888,7 +934,7 @@ def test_cli_grid_that_cannot_be_read_exits_1_naming_it(tmp_path, capsys, argv, 
          "target accuracy must be in [0, 1], got 2.0"),
     ],
     ids=["threshold-nan", "threshold-nan-count-0", "synth-too-many", "count-only-locate", "dims",
-         "fractions", "fractions-list", "no-dims-line", "bad-dims", "count-ids-differ", "locate-ids-differ",
+         "fractions", "fractions-list", "no-dims-line", "bad-dims", "map-scale-range", "count-ids-differ", "locate-ids-differ",
          "tune-ids-differ", "tune-pred-without-boxes", "tune-nms-out-of-range", "count-empty", "locate-empty",
          "ablate-empty", "split-too-many", "split-negative", "synth-dims-below-one", "max-count-negative",
          "ablate-fractions-first", "locate-penalty-first", "tune-grid-step-first", "bench-iters-first",
@@ -903,6 +949,7 @@ def test_cli_error_exits_1_with_its_message(tmp_path, capsys, argv, message):
         "empty": write_counts_manifest(tmp_path / "empty.json", "empty", []),
         "no_dims": tmp_path / "no_dims.cam",
         "bad_dims": tmp_path / "bad_dims.cam",
+        "scaled": tmp_path / "scaled.cam",
         "out": tmp_path / "out",
     }
     for name, rec_id in (("a", "a"), ("b", "b"), ("a_pred", "a")):
@@ -911,6 +958,7 @@ def test_cli_error_exits_1_with_its_message(tmp_path, capsys, argv, message):
     camloc.write_activation_map(Grid(4, 4, np.zeros(16), camloc.CAM_RANGE), paths["ok"])
     paths["no_dims"].write_text("CAM v1\n")
     paths["bad_dims"].write_text("CAM v1\n4 x\n")
+    write_grid(paths["scaled"], "CAM", np.array([[0.75, 0.1]]))
     assert run([arg.format(**paths) for arg in argv]) == 1
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
     assert not paths["out"].exists()
